@@ -44,34 +44,15 @@ inline uint32_t DigestBlocks(uint32_t block_size) {
   return DigestCipherBytes(block_size) / block_size;
 }
 
-/// Response of the untrusted terminal to a random read: ciphertext covering
-/// the requested bytes (extended left to a block boundary and right to a
-/// fragment boundary), plus per-chunk integrity material following the
-/// Merkle-hash-tree protocol of Figure F1.
-struct RangeResponse {
-  uint64_t data_begin = 0;  ///< Absolute byte offset of ciphertext[0].
-  /// Terminal bytes: typestate-tainted until the Merkle chain vouches.
-  common::UnverifiedBytes ciphertext;
-
-  struct ChunkMaterial {
-    uint64_t chunk_index = 0;
-    uint32_t first_fragment = 0;  ///< Fragment range covered by ciphertext.
-    uint32_t last_fragment = 0;
-    /// Intermediate SHA-1 state of the prefix of `first_fragment` that is
-    /// *not* transferred (terminal hashed ciphertext bytes from the start
-    /// of the fragment up to data_begin). Unused when the range starts at a
-    /// fragment boundary.
-    bool has_prefix_state = false;
-    Sha1::State prefix_state;
-    std::vector<ProofNode> proof;          ///< Sibling hashes (Figure F1).
-    /// Encrypted ChunkDigest (DigestCipherBytes of the store's backend).
-    std::vector<uint8_t> encrypted_digest;
-  };
-  std::vector<ChunkMaterial> chunks;
-
-  /// Bytes moved over the terminal->SOE channel (ciphertext + hashes +
-  /// digests + hash states), for the cost model.
-  uint64_t WireBytes() const;
+/// Per-chunk integrity material of the Merkle-hash-tree protocol of
+/// Figure F1, shipped alongside a batch segment's ciphertext.
+struct ChunkMaterial {
+  uint64_t chunk_index = 0;
+  uint32_t first_fragment = 0;  ///< Fragment range covered by ciphertext.
+  uint32_t last_fragment = 0;
+  std::vector<ProofNode> proof;  ///< Sibling hashes (Figure F1).
+  /// Encrypted ChunkDigest (DigestCipherBytes of the store's backend).
+  std::vector<uint8_t> encrypted_digest;
 };
 
 /// One terminal round trip of the *batched* verified-fetch protocol: the
@@ -114,10 +95,8 @@ struct BatchRequest {
 /// fragment of the batch that falls into the chunk, and omitted entirely
 /// for bare chunks. Fragment alignment makes intermediate hash states
 /// unnecessary (each leaf hash restarts at a fragment boundary), so the
-/// per-request proof overhead of the unbatched protocol (sibling set +
-/// digest + prefix state, per range) collapses to at most one sibling set
-/// and one digest per chunk per batch — and to zero for cache-hit
-/// re-reads.
+/// proof overhead is at most one sibling set and one digest per chunk per
+/// batch — and zero for cache-hit re-reads.
 struct BatchResponse {
   struct Segment {
     uint64_t begin = 0;  ///< Absolute byte offset of ciphertext[0].
@@ -130,7 +109,7 @@ struct BatchResponse {
   /// once per covered fragment range (rare; the planner merges same-chunk
   /// runs unless an already-valid fragment sits between them), but its
   /// digest is decrypted at most once per batch.
-  std::vector<RangeResponse::ChunkMaterial> chunks;
+  std::vector<ChunkMaterial> chunks;
 
   /// Bytes moved over the terminal->SOE channel.
   uint64_t WireBytes() const;
@@ -187,14 +166,12 @@ class SecureDocumentStore : public BatchSource {
   uint32_t block_size() const { return block_size_; }
   const std::vector<uint8_t>& ciphertext() const { return ciphertext_; }
 
-  /// Serves `[pos, pos+n)` with integrity material. Terminal-side hashing
-  /// is over ciphertext (so no key is needed), matching Section 6's
-  /// requirement that the terminal can cooperate in integrity checking.
-  Result<RangeResponse> ReadRange(uint64_t pos, uint64_t n) const;
-
   /// Serves a coalesced batch of fragment-aligned runs in one round trip
   /// (see BatchRequest/BatchResponse). Integrity material is emitted per
   /// chunk, not per run, and suppressed for the chunks the request waived.
+  /// Terminal-side hashing is over ciphertext (so no key is needed),
+  /// matching Section 6's requirement that the terminal can cooperate in
+  /// integrity checking.
   Result<BatchResponse> ReadBatch(const BatchRequest& request) const override;
 
   /// -- Attack emulation (tests) --------------------------------------
@@ -221,7 +198,7 @@ class SecureDocumentStore : public BatchSource {
 };
 
 /// SOE-side verifier/decryptor: holds the key, recomputes Merkle roots from
-/// RangeResponses, compares them to the decrypted ChunkDigests, and only
+/// BatchResponses, compares them to the decrypted ChunkDigests, and only
 /// then releases plaintext.
 class SoeDecryptor {
  public:
@@ -234,8 +211,8 @@ class SoeDecryptor {
   /// cross-serve shared one (the crypto layer holds it behind this handle
   /// only): it must be stamped with `expected_version` — a mismatch would
   /// let one version's authenticated hashes vouch for another's bytes.
-  /// Passing a mismatched handle is a hard error: every DecryptVerified*
-  /// call on the decryptor fails with a fixed IntegrityError (the old
+  /// Passing a mismatched handle is a hard error: every
+  /// DecryptVerifiedBatch call fails with a fixed IntegrityError (the old
   /// silent fall-back to a private cache hid wiring bugs of exactly the
   /// replay class the version stamp exists to stop).
   /// `backend` must be the cipher backend the store was built with.
@@ -247,14 +224,6 @@ class SoeDecryptor {
                CipherBackendKind backend = CipherBackendKind::k3Des);
 
   static constexpr size_t kDefaultDigestCacheCapacity = 32;
-
-  /// Verifies integrity of `resp` and decrypts exactly the bytes
-  /// [pos, pos+n) of the document. Returns IntegrityError on any mismatch.
-  /// The returned VerifiedPlaintext is the typestate witness that the
-  /// bytes recombined to an authenticated Merkle root — the only other way
-  /// to obtain one is the batch path below.
-  Result<common::VerifiedPlaintext> DecryptVerified(const RangeResponse& resp,
-                                                    uint64_t pos, uint64_t n);
 
   /// True when the digest cache holds enough authenticated material to
   /// verify fragments [first, last] of `chunk` without any shipped
@@ -300,10 +269,11 @@ class SoeDecryptor {
                               const BatchResponse& response, uint8_t* out,
                               size_t out_size);
 
-  /// Mints the typestate witness for a buffer that is written exclusively
-  /// by this decryptor's DecryptVerifiedBatch (the SecureFetcher's
-  /// document image: private buffer, every write goes through the batch
-  /// verify-then-decrypt path; validity per range still follows Ensure()).
+  /// Mints the typestate witness — the only mint site — for a buffer that
+  /// is written exclusively by this decryptor's DecryptVerifiedBatch (the
+  /// SecureFetcher's document image: private buffer, every write goes
+  /// through the batch verify-then-decrypt path; validity per range still
+  /// follows Ensure()).
   /// Feeding anything tainted here is laundering — tools/csxa_lint.py
   /// treats VerifiedViewOf as a taint sink (check: taint-dataflow).
   common::VerifiedPlaintext VerifiedViewOf(const uint8_t* data,
@@ -342,14 +312,15 @@ class SoeDecryptor {
                                          uint32_t version);
 
  private:
-  /// Shared chunk-verification core: recomputes the root from `leaves`
-  /// (fragments [first, last]) plus `proof`, authenticates it against the
-  /// encrypted digest (decrypting it at most once per batch via
-  /// `digest_memo`), and records the authenticated material in the cache.
+  /// Verifies one chunk against shipped material: recomputes the root from
+  /// `leaves` (fragments [first, last]) plus `proof`, authenticates it
+  /// against the encrypted digest (decrypting it at most once per batch
+  /// via `digest_memo`), and records the authenticated material in the
+  /// cache.
   Status VerifyChunkAgainstMaterial(
-      const RangeResponse::ChunkMaterial& mat, uint64_t chunk,
+      const ChunkMaterial& mat, uint64_t chunk,
       const std::vector<Sha1Digest>& leaves,
-      std::vector<std::pair<uint64_t, Sha1Digest>>* digest_memo);
+      std::vector<std::pair<uint64_t, Sha1Digest>>& digest_memo);
 
   std::unique_ptr<const CipherBackend> backend_;
   ChunkLayout layout_;

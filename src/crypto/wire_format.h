@@ -31,11 +31,12 @@ namespace csxa::crypto {
 ///               u32=count{hints} (u64 chunk, u64 known_nodes, u8 root_known)*
 ///   response := 'R''X''S''C' u32=count{segments} (u64 begin, u64 len, bytes)*
 ///               u32=count{chunks} (u64 chunk_index, u32 first_fragment,
-///                 u32 last_fragment, u8 has_prefix_state(=0),
+///                 u32 last_fragment, u8 reserved(=0),
 ///                 u32 count{proof} (u32 level, u64 index, 20B hash)*,
 ///                 u32 digest_len, bytes)*
-/// The batched protocol never ships prefix hash states (fragment alignment
-/// makes them unnecessary), so has_prefix_state must be zero on the wire.
+/// The reserved byte must be zero; a non-zero value is rejected as
+/// IntegrityError. It keeps the frame layout byte-identical to earlier
+/// versions of the protocol.
 
 /// Serializes `request` into `out` (appended).
 void EncodeBatchRequest(const BatchRequest& request, std::vector<uint8_t>* out);

@@ -1,10 +1,11 @@
 // Laundering attempt: construct a VerifiedPlaintext without the passkey.
-// Every constructor demands a VerifyPass as its first argument.
+// The only constructor demands a VerifyPass before the (pointer, size)
+// view it borrows.
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/tainted.h"
 
-csxa::common::VerifiedPlaintext Attack(std::vector<uint8_t> bytes) {
-  return csxa::common::VerifiedPlaintext(std::move(bytes));
+csxa::common::VerifiedPlaintext Attack(const uint8_t* data, size_t size) {
+  return csxa::common::VerifiedPlaintext(data, size);
 }

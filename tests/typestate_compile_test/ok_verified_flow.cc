@@ -17,15 +17,20 @@ uint64_t FrameSize(const csxa::common::UnverifiedBytes& tainted) {
   return still_tainted.size() + (tainted.empty() ? 0 : 1);
 }
 
-// The verification path returns witnesses; consumers may move and read
-// them freely.
+// The verification path fills the buffer and the decryptor mints the
+// witness over it; consumers may move and read it freely.
 csxa::Status VerifyAndOpen(csxa::crypto::SoeDecryptor* soe,
-                           const csxa::crypto::RangeResponse& resp,
+                           const csxa::crypto::BatchRequest& request,
+                           const csxa::crypto::BatchResponse& response,
+                           std::vector<uint8_t>* buffer,
                            std::vector<uint8_t>* out) {
-  auto plain = soe->DecryptVerified(resp, 0, 64);
-  if (!plain.ok()) return plain.status();
-  csxa::common::VerifiedPlaintext moved = std::move(plain.value());
-  *out = moved.ToVector();
+  csxa::Status st = soe->DecryptVerifiedBatch(request, response,
+                                              buffer->data(), buffer->size());
+  if (!st.ok()) return st;
+  csxa::common::VerifiedPlaintext view =
+      soe->VerifiedViewOf(buffer->data(), buffer->size());
+  csxa::common::VerifiedPlaintext moved = std::move(view);
+  out->assign(moved.data(), moved.data() + moved.size());
   auto nav = csxa::index::DocumentNavigator::OpenBuffer(moved, nullptr);
   return nav.status();
 }
@@ -33,8 +38,12 @@ csxa::Status VerifyAndOpen(csxa::crypto::SoeDecryptor* soe,
 }  // namespace
 
 csxa::Status Probe(csxa::crypto::SoeDecryptor* soe,
-                   const csxa::crypto::RangeResponse& resp,
-                   std::vector<uint8_t>* out) {
-  if (FrameSize(resp.ciphertext) == 0) return csxa::Status::OK();
-  return VerifyAndOpen(soe, resp, out);
+                   const csxa::crypto::BatchRequest& request,
+                   const csxa::crypto::BatchResponse& response,
+                   std::vector<uint8_t>* buffer, std::vector<uint8_t>* out) {
+  if (response.segments.empty() ||
+      FrameSize(response.segments[0].ciphertext) == 0) {
+    return csxa::Status::OK();
+  }
+  return VerifyAndOpen(soe, request, response, buffer, out);
 }

@@ -261,6 +261,24 @@ TEST(ResponseLengthLies) {
   ExpectRejected(m, "segment begin lie");
 }
 
+// The per-chunk reserved byte must be zero: a frame that sets it speaks
+// another protocol and must die in the decoder.
+TEST(ResponseReservedByteSet) {
+  std::vector<uint8_t> frame = FuzzResponseFrame();
+  // magic(4) seg_count(4), each segment's (u64 begin)(u64 len)(bytes),
+  // chunk_count(4), then the first chunk's u64 index, u32 first, u32 last.
+  size_t reserved = 8;
+  for (const crypto::BatchRequest::Run& run : FuzzRequest().runs) {
+    reserved += 16 + (run.end - run.begin);
+  }
+  reserved += 4 + 8 + 4 + 4;
+  CHECK(frame[reserved] == 0);
+  frame[reserved] = 1;
+  const Outcome outcome = RunFrame(frame);
+  CHECK(outcome == Outcome::kDecodeRejected);
+  if (outcome == Outcome::kDecodeRejected) ++mutations_rejected;
+}
+
 // Structurally valid frames carrying semantically tampered content: each
 // mutation re-encodes cleanly, so the decoder passes it and the digest
 // chain must be what refuses. This is the layer a wire attacker who knows

@@ -740,11 +740,14 @@ bool BackendAttackRejected(crypto::CipherBackendKind backend, int attack) {
                            store.value().chunk_count(), expected_version,
                            crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
                            /*shared_cache=*/nullptr, backend);
-  auto resp = store.value().ReadRange(0, doc.size());
+  crypto::BatchRequest req;
+  req.runs.push_back({0, store.value().ciphertext().size()});
+  auto resp = store.value().ReadBatch(req);
   if (!resp.ok()) return false;
-  auto plain = soe.DecryptVerified(resp.value(), 0, doc.size());
-  return !plain.ok() &&
-         plain.status().code() == StatusCode::kIntegrityError;
+  std::vector<uint8_t> plain(doc.size());
+  Status st = soe.DecryptVerifiedBatch(req, resp.value(), plain.data(),
+                                       plain.size());
+  return st.code() == StatusCode::kIntegrityError;
 }
 
 /// The cross-backend section: the exact gates that make the cipher

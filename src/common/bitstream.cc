@@ -1,5 +1,7 @@
 #include "common/bitstream.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace csxa {
@@ -25,13 +27,16 @@ int BitWidth(uint64_t v) {
 }
 
 void BitWriter::WriteBits(uint64_t value, int width) {
-  for (int i = width - 1; i >= 0; --i) {
-    size_t byte = bit_size_ >> 3;
-    if (byte >= bytes_.size()) bytes_.push_back(0);
-    if ((value >> i) & 1) {
-      bytes_[byte] |= static_cast<uint8_t>(0x80u >> (bit_size_ & 7));
-    }
-    ++bit_size_;
+  // Fill the partial last byte, then whole bytes: up to 8 bits per step.
+  while (width > 0) {
+    const int used = static_cast<int>(bit_size_ & 7);
+    if (used == 0) bytes_.push_back(0);
+    const int take = std::min(width, 8 - used);
+    width -= take;
+    const auto piece =
+        static_cast<uint8_t>((value >> width) & ((1u << take) - 1));
+    bytes_.back() |= static_cast<uint8_t>(piece << (8 - used - take));
+    bit_size_ += static_cast<size_t>(take);
   }
 }
 

@@ -27,47 +27,46 @@ size_t VerifiedDigestCache::NodeIndex(int level, uint64_t index) const {
 
 const VerifiedDigestCache::Entry* VerifiedDigestCache::Find(
     uint64_t chunk) const {
-  for (const Entry& e : entries_) {
-    if (e.chunk == chunk && !e.known.empty()) {
-      e.last_use = ++clock_;
-      return &e;
-    }
-  }
-  return nullptr;
+  auto it = slot_.find(chunk);
+  if (it == slot_.end()) return nullptr;
+  const Entry& e = entries_[it->second];
+  e.last_use = ++clock_;
+  return &e;
 }
 
 VerifiedDigestCache::Entry* VerifiedDigestCache::Obtain(uint64_t chunk) {
-  for (Entry& e : entries_) {
-    if (e.chunk == chunk && !e.known.empty()) {
-      e.last_use = ++clock_;
-      return &e;
-    }
+  if (auto it = slot_.find(chunk); it != slot_.end()) {
+    Entry& e = entries_[it->second];
+    e.last_use = ++clock_;
+    return &e;
   }
-  Entry* e;
+  size_t slot = entries_.size();
   if (entries_.size() < capacity_) {
-    e = &entries_.emplace_back();
+    entries_.emplace_back();
   } else {
-    // Displace the least recently used *unpinned* entry (capacity is
-    // small; a linear scan is cheaper than any index). Pinned chunks are
-    // the ones in-flight batches' waivers and trimming hints depend on —
-    // evicting one mid-batch would fail an honest response. (Inline, not a
-    // lambda: thread-safety analysis cannot carry REQUIRES(mu_) into a
-    // lambda body, so a capture touching pinned_ would be a false alarm.)
-    size_t victim = entries_.size();
+    // Displace the least recently used *unpinned* entry (a scan, but only
+    // on insertion into a full cache; lookups go through slot_). Pinned
+    // chunks are the ones in-flight batches' waivers and trimming hints
+    // depend on — evicting one mid-batch would fail an honest response.
+    // (Inline, not a lambda: thread-safety analysis cannot carry
+    // REQUIRES(mu_) into a lambda body, so a capture touching pinned_
+    // would be a false alarm.)
     for (size_t i = 0; i < entries_.size(); ++i) {
       if (std::find(pinned_.begin(), pinned_.end(), entries_[i].chunk) !=
           pinned_.end()) {
         continue;
       }
-      if (victim == entries_.size() ||
-          entries_[i].last_use < entries_[victim].last_use) {
-        victim = i;
+      if (slot == entries_.size() ||
+          entries_[i].last_use < entries_[slot].last_use) {
+        slot = i;
       }
     }
-    if (victim == entries_.size()) return nullptr;  // All slots pinned.
+    if (slot == entries_.size()) return nullptr;  // All slots pinned.
     ++stats_.evictions;
-    e = &entries_[victim];
+    slot_.erase(entries_[slot].chunk);
   }
+  slot_.emplace(chunk, slot);
+  Entry* e = &entries_[slot];
   e->chunk = chunk;
   e->last_use = ++clock_;
   e->nodes.assign(2 * size_t{frags_} - 1, Sha1Digest{});

@@ -2,6 +2,7 @@
 #define CSXA_CRYPTO_DIGEST_CACHE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/tainted.h"
@@ -27,10 +28,9 @@ namespace csxa::crypto {
 /// the ciphertext the document owner sealed. A terminal tampering with
 /// re-read ciphertext changes the recomputed leaf hash, the recombined
 /// root diverges from the cached one, and the read is rejected — the cache
-/// narrows the *wire format*, never the trust chain. Capacity is a few
-/// dozen entries (one entry is ~2·m hashes for m fragments per chunk), so
-/// the SOE memory bound is respected; eviction only costs a fallback to
-/// the classic proof-carrying read.
+/// narrows the *wire format*, never the trust chain. Capacity bounds SOE
+/// memory (one entry is ~2·m hashes for m fragments per chunk); eviction
+/// only costs a fallback to the classic proof-carrying read.
 ///
 /// Sharing across serves: every method is internally synchronized, so one
 /// cache instance can back many concurrent sessions of the *same document
@@ -190,6 +190,8 @@ class VerifiedDigestCache {
   mutable Mutex mu_;
   mutable uint64_t clock_ CSXA_GUARDED_BY(mu_) = 0;
   std::vector<Entry> entries_ CSXA_GUARDED_BY(mu_);
+  /// chunk -> index into entries_, one per entry.
+  std::unordered_map<uint64_t, size_t> slot_ CSXA_GUARDED_BY(mu_);
   /// Multiset of chunks shielded from eviction.
   std::vector<uint64_t> pinned_ CSXA_GUARDED_BY(mu_);
   mutable Stats stats_ CSXA_GUARDED_BY(mu_);

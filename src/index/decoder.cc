@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bitstream.h"
+#include "common/bytes.h"
 
 namespace csxa::index {
 
@@ -25,7 +26,13 @@ Result<std::unique_ptr<DocumentNavigator>> DocumentNavigator::OpenBuffer(
 Status DocumentNavigator::Init(const uint8_t* data, size_t size,
                                Fetcher* fetcher) {
   data_ = data;
+  size_ = size;
   fetcher_ = fetcher;
+  if (fetcher_ == nullptr) {
+    win_end_ = size;  // Fully materialized: every byte is readable.
+  } else {
+    align_ = std::max<uint64_t>(1, fetcher_->preferred_alignment());
+  }
   // Materialize enough prefix to parse the header, growing on demand. Start
   // small: over-ensuring here defeats the lazy fetch path (skipped subtrees
   // must never be transferred), and headers are dominated by the tag
@@ -33,17 +40,12 @@ Status DocumentNavigator::Init(const uint8_t* data, size_t size,
   // fetcher's transfer granularity (fragment size): an unaligned prefetch
   // would end mid-fragment, and the follow-up read of the straddled
   // fragment would re-plan bytes the fetcher already holds.
-  const size_t align =
-      fetcher_ != nullptr
-          ? static_cast<size_t>(std::max<uint64_t>(
-                1, fetcher_->preferred_alignment()))
-          : 1;
-  auto round_up = [align, size](size_t n) {
-    return std::min(size, (n + align - 1) / align * align);
+  auto round_up = [this](size_t n) {
+    return std::min<size_t>(size_, (n + align_ - 1) / align_ * align_);
   };
   size_t ensured = round_up(std::min<size_t>(size, 256));
   while (true) {
-    if (fetcher_ != nullptr) CSXA_RETURN_NOT_OK(fetcher_->Ensure(0, ensured));
+    CSXA_RETURN_NOT_OK(Demand(0, ensured));
     auto info = ParseHeaderInfo(data, ensured);
     if (info.ok()) {
       variant_ = info.value().variant;
@@ -57,6 +59,15 @@ Status DocumentNavigator::Init(const uint8_t* data, size_t size,
   }
   size_bits_ = (size - stream_offset_) * 8;
   Touch(0, stream_offset_);
+  return Status::OK();
+}
+
+Status DocumentNavigator::Demand(uint64_t begin_byte, uint64_t end_byte) {
+  if (begin_byte >= win_begin_ && end_byte <= win_end_) return Status::OK();
+  CSXA_RETURN_NOT_OK(fetcher_->Ensure(begin_byte, end_byte));
+  win_begin_ = begin_byte / align_ * align_;
+  win_end_ =
+      std::min<uint64_t>(size_, (end_byte + align_ - 1) / align_ * align_);
   return Status::OK();
 }
 
@@ -75,31 +86,60 @@ Result<uint64_t> DocumentNavigator::ReadBits(int width) {
   if (pos_ + static_cast<size_t>(width) > size_bits_) {
     return Status::Corruption("encoded stream truncated");
   }
-  uint64_t begin_byte = stream_offset_ + pos_ / 8;
-  uint64_t end_byte = stream_offset_ + (pos_ + width + 7) / 8;
-  if (fetcher_ != nullptr) {
-    CSXA_RETURN_NOT_OK(fetcher_->Ensure(begin_byte, end_byte));
-  }
+  const uint64_t begin_byte = stream_offset_ + pos_ / 8;
+  const uint64_t end_byte = stream_offset_ + (pos_ + width + 7) / 8;
+  CSXA_RETURN_NOT_OK(Demand(begin_byte, end_byte));
   Touch(begin_byte, end_byte);
-  const uint8_t* stream = data_ + stream_offset_;
-  uint64_t v = 0;
-  size_t p = pos_;
-  for (int i = 0; i < width; ++i, ++p) {
-    v = (v << 1) | ((stream[p >> 3] >> (7 - (p & 7))) & 1);
+  // Up to 8 bits per step, touching only bytes [begin_byte, end_byte).
+  const uint8_t* p = data_ + begin_byte;
+  const int avail = 8 - static_cast<int>(pos_ & 7);
+  uint64_t v = *p & (0xFFu >> (8 - avail));
+  if (width <= avail) {
+    v >>= avail - width;
+  } else {
+    int left = width - avail;
+    for (; left >= 8; left -= 8) v = (v << 8) | *++p;
+    if (left > 0) v = (v << left) | (*++p >> (8 - left));
   }
-  pos_ = p;
+  pos_ += static_cast<size_t>(width);
   bits_read_ += static_cast<uint64_t>(width);
   return v;
 }
 
 Status DocumentNavigator::ReadText(uint64_t len, std::string* out) {
   out->clear();
-  out->reserve(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    auto byte = ReadBits(8);
-    if (!byte.ok()) return byte.status();
-    out->push_back(static_cast<char>(byte.value()));
+  // Validate before reserving: the length comes from the stream, and a TC
+  // varint can claim up to 2^64 bytes.
+  if (len > (size_bits_ - pos_) / 8) {
+    return Status::Corruption("text length exceeds stream");
   }
+  if (len == 0) return Status::OK();
+  out->reserve(len);
+  // One window at a time. Each crossing demands exactly what a reader of
+  // one byte at a time would: the byte itself when aligned, the two bytes
+  // it straddles when not. A wider demand would seed the planner's
+  // readahead differently and change what crosses the wire.
+  const unsigned shift = pos_ & 7;
+  const uint64_t straddle = shift == 0 ? 0 : 1;
+  uint64_t b = stream_offset_ + pos_ / 8;
+  const uint64_t end = b + len;
+  while (b < end) {
+    CSXA_RETURN_NOT_OK(Demand(b, b + 1 + straddle));
+    const uint64_t stop = std::min(end, win_end_ - straddle);
+    Touch(b, stop + straddle);
+    const uint8_t* p = data_ + b;
+    if (shift == 0) {
+      out->append(common::AsChars(p, stop - b));
+    } else {
+      for (uint64_t i = 0; i < stop - b; ++i) {
+        out->push_back(static_cast<char>((p[i] << shift) |
+                                         (p[i + 1] >> (8 - shift))));
+      }
+    }
+    b = stop;
+  }
+  pos_ += len * 8;
+  bits_read_ += len * 8;
   return Status::OK();
 }
 

@@ -22,6 +22,12 @@ class Fetcher {
   virtual ~Fetcher() = default;
   /// Ensures bytes [begin, end) of the encoded document are valid in the
   /// buffer the navigator reads from. Returns IntegrityError on tampering.
+  ///
+  /// Whole-unit contract: a successful Ensure validates every
+  /// preferred_alignment() unit the range touches, and bytes once valid
+  /// stay valid and unchanged for the fetcher's lifetime. The navigator
+  /// relies on both: it skips Ensure for reads inside the unit-aligned
+  /// window of its last call.
   virtual Status Ensure(uint64_t begin, uint64_t end) = 0;
 
   /// Look-ahead hints from the consumer's skip oracle — pure prefetch
@@ -39,9 +45,10 @@ class Fetcher {
   }
   /// The consumer will stream the entire document.
   virtual void HintStreamAll() {}
-  /// Granularity the fetcher transfers at (fragment size); consumers
-  /// round prefetches to it so a batched read never straddles a unit the
-  /// fetcher already holds.
+  /// Granularity the fetcher transfers and validates at (fragment size);
+  /// consumers round prefetches to it so a batched read never straddles a
+  /// unit the fetcher already holds, and Ensure() always validates whole
+  /// units of it (see above).
   virtual uint64_t preferred_alignment() const { return 1; }
   /// Plaintext bytes this fetcher has materialized so far; deltas around a
   /// deferral splice give the honest re-read cost (bytes actually pulled,
@@ -159,6 +166,10 @@ class DocumentNavigator {
   DocumentNavigator() = default;
 
   Status Init(const uint8_t* data, size_t size, Fetcher* fetcher);
+  /// Makes document bytes [begin_byte, end_byte) readable: a no-op inside
+  /// the verified window, else one Fetcher::Ensure of exactly that range,
+  /// after which the window is the range rounded out to whole units.
+  Status Demand(uint64_t begin_byte, uint64_t end_byte);
   Result<uint64_t> ReadBits(int width);
   Status ReadText(uint64_t len, std::string* out);
   Result<uint64_t> ReadTcVarint();
@@ -168,8 +179,15 @@ class DocumentNavigator {
   Result<Item> NextTc();
 
   const uint8_t* data_ = nullptr;
+  size_t size_ = 0;  // bytes of the document image
   size_t size_bits_ = 0;
   Fetcher* fetcher_ = nullptr;
+  uint64_t align_ = 1;  // fetcher_->preferred_alignment()
+  /// Document bytes the last Ensure made valid, rounded out to whole
+  /// fetcher units (the whole image when there is no fetcher). Reads
+  /// inside it need no Ensure: validated units are never invalidated.
+  uint64_t win_begin_ = 0;
+  uint64_t win_end_ = 0;
   Variant variant_ = Variant::kTcsbr;
   xml::TagDictionary dict_;
   size_t stream_offset_ = 0;  // bytes

@@ -5,10 +5,13 @@
 // weakening integrity — a tampered terminal must be caught even on a
 // cache-hit ("bare") re-read that ships no Merkle material at all.
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "access/access_rule.h"
+#include "crypto/digest_cache.h"
 #include "crypto/secure_store.h"
 #include "index/fetch_planner.h"
 #include "index/secure_fetcher.h"
@@ -274,6 +277,71 @@ TEST(TinyCacheCannotEvictClaimsMidBatch) {
   CHECK_OK(soe.DecryptVerifiedBatch(req2, resp2.value(), out.data(),
                                     out.size()));
   CHECK(std::equal(doc.begin(), doc.begin() + 128, out.begin()));
+}
+
+TEST(DigestCacheEvictsLeastRecentlyUsedUnpinned) {
+  // Capacity 4 over 6 chunks: lookups go through the chunk index, and
+  // eviction must still pick exactly the least recently used unpinned
+  // entry, leave no trace of it behind, and let it be recorded again.
+  std::vector<uint8_t> doc(6 * 64);
+  for (size_t i = 0; i < doc.size(); ++i) doc[i] = static_cast<uint8_t>(i * 7);
+  auto layout = SmallLayout();  // 64-byte chunks, 8-byte fragments.
+  auto store = crypto::SecureDocumentStore::Build(doc, TestKey(), layout);
+  CHECK_OK(store.status());
+  if (!store.ok()) return;
+  auto cache = std::make_shared<crypto::VerifiedDigestCache>(
+      layout.fragments_per_chunk(), /*capacity=*/4);
+  crypto::SoeDecryptor soe(TestKey(), layout, doc.size(),
+                           store.value().chunk_count(), /*expected_version=*/0,
+                           /*digest_cache_capacity=*/4, cache);
+  std::vector<uint8_t> out(doc.size(), 0);
+  auto record = [&](uint64_t chunk) {
+    crypto::BatchRequest req;
+    req.runs.push_back({chunk * 64, chunk * 64 + 64});
+    auto resp = store.value().ReadBatch(req);
+    CHECK_OK(resp.status());
+    if (!resp.ok()) return;
+    CHECK_OK(soe.DecryptVerifiedBatch(req, resp.value(), out.data(),
+                                      out.size()));
+  };
+  auto known = [&](uint64_t chunk) {  // Touches the entry's LRU clock.
+    crypto::Sha1Digest root{};
+    return cache->Root(chunk, &root);
+  };
+  auto unknown_everywhere = [&](uint64_t chunk) {
+    crypto::Sha1Digest root{};
+    return !cache->Root(chunk, &root) && !soe.CanVerifyBare(chunk, 0, 7) &&
+           soe.MissingProofNodes(chunk, 1, 2) == 3;
+  };
+
+  for (uint64_t c = 0; c < 4; ++c) record(c);  // LRU order: 0 1 2 3.
+  CHECK(known(0));                              // Now: 1 2 3 0.
+  {
+    auto pin = soe.PinChunks({1});
+    record(4);  // 1 is older but pinned: 2 goes.
+  }
+  CHECK(unknown_everywhere(2));
+  CHECK_EQ(cache->stats().evictions, uint64_t{1});
+  for (uint64_t c : {0, 1, 3, 4}) CHECK(known(c));  // Now: 0 1 3 4.
+
+  record(2);  // Re-recording an evicted chunk works; 0 goes.
+  CHECK(unknown_everywhere(0));
+  CHECK(soe.CanVerifyBare(2, 0, 7));  // Now: 1 3 4 2.
+  {
+    auto pin = soe.PinChunks({1, 3});
+    record(5);  // 4 is the oldest unpinned.
+  }
+  CHECK(unknown_everywhere(4));
+  CHECK_EQ(cache->stats().evictions, uint64_t{3});
+  for (uint64_t c : {1, 2, 3, 5}) CHECK(known(c));
+
+  {  // Every slot pinned: recording is skipped, the read still verifies.
+    auto pin = soe.PinChunks({1, 2, 3, 5});
+    record(0);
+  }
+  CHECK(unknown_everywhere(0));
+  CHECK_EQ(cache->stats().evictions, uint64_t{3});
+  CHECK(std::equal(doc.begin(), doc.end(), out.begin()));
 }
 
 TEST(TamperedTrimmedProofIsRejected) {

@@ -100,6 +100,36 @@ TEST(Sha1NistVectors) {
            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
+TEST(Sha1PaddingBoundaries) {
+  // Lengths around the 55/56-byte padding split (one block or two) and
+  // the block edges, fed whole and one byte at a time. Expected digests
+  // are hashlib.sha1 of the same messages.
+  const struct {
+    size_t n;
+    const char* hex;
+  } kCases[] = {
+      {55, "a617d006d1ca12671785098a19a87fe58443bde9"},
+      {56, "4ad5bb7ae3c4024768d364b77c52128ea3cffebe"},
+      {57, "e1b3b34da0f7b299090824d9aa81fff6711a79ad"},
+      {63, "fc8a5ab77259625085ead3ec96515b3b8d933fad"},
+      {64, "93249d4c2f8903ebf41ac358473148ae6ddd7042"},
+      {65, "cf2a63cc308225cf07b498d2309a01dd0df52f67"},
+      {119, "edd0f1133d0e4ca5f3e98bb7e0295f31d20d2cdb"},
+      {120, "23a58eee587aa1f50d19a969ab36a3fe3e88c393"},
+  };
+  for (const auto& c : kCases) {
+    std::string msg;
+    for (size_t i = 0; i < c.n; ++i) {
+      msg.push_back(static_cast<char>('a' + i % 26));
+    }
+    CHECK_EQ(Sha1Hex(msg), std::string(c.hex));
+    Sha1 bytewise;
+    for (char ch : msg) bytewise.Update(std::string(1, ch));
+    const Sha1Digest d = bytewise.Finish();
+    CHECK_EQ(ToHex(d.data(), d.size()), std::string(c.hex));
+  }
+}
+
 TEST(MerkleRootFromRange) {
   std::vector<Sha1Digest> leaves;
   for (int i = 0; i < 8; ++i) {

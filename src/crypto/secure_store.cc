@@ -249,10 +249,11 @@ SoeDecryptor::SoeDecryptor(const TripleDes::Key& key, ChunkLayout layout,
   // A shared cache vouching for a different document version must never be
   // consulted: its hashes authenticate that version's ciphertext, and
   // accepting them here would undo the replay protection the version check
-  // provides. The shared cache is universal now (every service serve wires
-  // one in), so a mismatched handle is a wiring bug upstream — poison the
-  // decryptor instead of silently downgrading to a private cache, which
-  // hid exactly this class of bug behind a cold-serve wire bill.
+  // provides. Every service serve of a document published with a shared
+  // cache wires one in, so a mismatched handle is a wiring bug upstream —
+  // poison the decryptor instead of silently downgrading to a private
+  // cache, which hid exactly this class of bug behind a cold-serve wire
+  // bill.
   if (shared_cache != nullptr) {
     if (shared_cache->version() == expected_version) {
       cache_ = std::move(shared_cache);

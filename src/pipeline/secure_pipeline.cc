@@ -3,33 +3,18 @@
 #include <utility>
 
 #include "common/clock.h"
-#include "index/encoder.h"
-#include "xml/sax_parser.h"
 #include "xml/serializer.h"
 
 namespace csxa::pipeline {
 
-Result<SecureSession> SecureSession::Build(const std::string& xml,
-                                           const SessionConfig& cfg) {
-  CSXA_ASSIGN_OR_RETURN(auto dom, xml::SaxParser::ParseToDom(xml));
-  CSXA_ASSIGN_OR_RETURN(index::EncodedDocument doc,
-                        index::Encode(*dom, cfg.variant));
-  CSXA_ASSIGN_OR_RETURN(crypto::SecureDocumentStore store,
-                        crypto::SecureDocumentStore::Build(
-                            doc.bytes, cfg.key, cfg.layout, cfg.version,
-                            cfg.backend));
-  return SecureSession(cfg, std::move(store), doc.bytes.size());
-}
-
 Result<std::unique_ptr<ServeStream>> ServeStream::Open(
-    const crypto::BatchSource* source, const crypto::ChunkLayout& layout,
-    uint64_t plaintext_size, uint64_t ciphertext_size, uint64_t chunk_count,
-    const crypto::TripleDes::Key& key, uint32_t version,
-    const std::vector<access::AccessRule>& rules,
-    const ServeOptions& options, crypto::CipherBackendKind backend) {
-  auto stream = std::unique_ptr<ServeStream>(
-      new ServeStream(source, layout, plaintext_size, ciphertext_size,
-                      chunk_count, key, version, options, backend));
+    const crypto::BatchSource* source,
+    const crypto::SecureDocumentStore& snapshot,
+    const crypto::TripleDes::Key& key,
+    const std::vector<access::AccessRule>& rules, const ServeOptions& options,
+    std::shared_ptr<crypto::VerifiedDigestCache> shared_cache) {
+  auto stream = std::unique_ptr<ServeStream>(new ServeStream(
+      source, snapshot, key, options, std::move(shared_cache)));
   CSXA_ASSIGN_OR_RETURN(
       stream->nav_,
       index::DocumentNavigator::OpenBuffer(stream->fetcher_.verified_view(),
@@ -42,21 +27,11 @@ Result<std::unique_ptr<ServeStream>> ServeStream::Open(
   return stream;
 }
 
-Result<std::unique_ptr<ServeStream>> SecureSession::OpenStream(
-    const std::vector<access::AccessRule>& rules,
-    const ServeOptions& options) const {
-  return ServeStream::Open(&store_, store_.layout(), store_.plaintext_size(),
-                           store_.ciphertext().size(), store_.chunk_count(),
-                           cfg_.key, cfg_.version, rules, options,
-                           store_.backend());
-}
-
-Result<ServeReport> DrainServeStream(ServeStream* stream,
-                                     uint64_t encoded_bytes) {
+Result<ServeReport> ServeStream::Drain() {
   const uint64_t t0 = NowNs();
   xml::SerializingHandler serializer;
   while (true) {
-    CSXA_ASSIGN_OR_RETURN(ViewItem item, stream->Next());
+    CSXA_ASSIGN_OR_RETURN(ViewItem item, Next());
     if (item.end) break;
     serializer.Feed(item.event, item.depth);
   }
@@ -64,28 +39,27 @@ Result<ServeReport> DrainServeStream(ServeStream* stream,
 
   ServeReport report;
   report.view = serializer.output();
-  report.drive = stream->drive();
-  report.eval = stream->eval();
-  report.encoded_bytes = encoded_bytes;
-  report.wire_bytes = stream->fetcher().wire_bytes();
-  report.bytes_fetched = stream->fetcher().bytes_fetched();
-  report.requests = stream->fetcher().requests();
-  report.segments = stream->fetcher().segments();
-  report.bare_chunk_reads = stream->fetcher().bare_chunk_reads();
-  report.proof_hashes_shipped = stream->fetcher().proof_hashes_shipped();
-  report.digest_bytes_shipped = stream->fetcher().digest_bytes_shipped();
+  report.drive = reader_->stats();
+  report.eval = reader_->eval_stats();
+  report.encoded_bytes = fetcher_.size();
+  report.wire_bytes = fetcher_.wire_bytes();
+  report.bytes_fetched = fetcher_.bytes_fetched();
+  report.requests = fetcher_.requests();
+  report.segments = fetcher_.segments();
+  report.bare_chunk_reads = fetcher_.bare_chunk_reads();
+  report.proof_hashes_shipped = fetcher_.proof_hashes_shipped();
+  report.digest_bytes_shipped = fetcher_.digest_bytes_shipped();
   report.gap_fragments_bridged =
-      stream->fetcher().planner_stats().gap_fragments_bridged;
-  report.fetch_ns = stream->fetcher().fetch_ns();
-  report.retries = stream->fetcher().retries();
-  report.reconnects = stream->fetcher().reconnects();
-  report.deadline_ns = stream->fetcher().deadline_ns();
-  report.soe = stream->soe();
-  report.digest_cache = stream->cache_stats();
-  report.backend = stream->backend_name();
-  report.backend_hardware = stream->backend_hardware_accelerated();
+      fetcher_.planner_stats().gap_fragments_bridged;
+  report.fetch_ns = fetcher_.fetch_ns();
+  report.retries = fetcher_.retries();
+  report.reconnects = fetcher_.reconnects();
+  report.deadline_ns = fetcher_.deadline_ns();
+  report.soe = soe_.counters();
+  report.digest_cache = soe_.cache_stats();
+  report.backend = soe_.backend_name();
+  report.backend_hardware = soe_.backend_hardware_accelerated();
   report.hash_impl = crypto::Sha1::ImplementationName();
-  report.hash_hardware = crypto::Sha1::HardwareAccelerated();
   report.serve_ns = serve_ns;
   auto mb_s = [](uint64_t bytes, uint64_t ns) {
     return ns == 0 ? 0.0
@@ -96,15 +70,7 @@ Result<ServeReport> DrainServeStream(ServeStream* stream,
       report.soe.bytes_decrypted + report.soe.digest_bytes_decrypted,
       report.soe.decrypt_ns);
   report.hash_mb_s = mb_s(report.soe.bytes_hashed, report.soe.hash_ns);
-  report.serve_mb_s = mb_s(report.bytes_fetched, serve_ns);
   return report;
-}
-
-Result<ServeReport> SecureSession::Serve(
-    const std::vector<access::AccessRule>& rules,
-    const ServeOptions& options) const {
-  CSXA_ASSIGN_OR_RETURN(auto stream, OpenStream(rules, options));
-  return DrainServeStream(stream.get(), encoded_bytes_);
 }
 
 }  // namespace csxa::pipeline

@@ -12,33 +12,12 @@
 #include "crypto/secure_store.h"
 #include "index/decoder.h"
 #include "index/secure_fetcher.h"
-#include "index/variants.h"
 #include "pipeline/authorized_view_reader.h"
 
 namespace csxa::pipeline {
 
-/// One encrypted document hosted by an untrusted terminal, with everything
-/// needed to serve authorized views to SOE-side sessions — the single
-/// public facade of the pipeline. Bundles the owner-side preparation
-/// (parse → encode → encrypt → digest) and the per-request SOE chain
-/// (fresh decryptor → lazy verified fetcher → navigator → pull-based
-/// AuthorizedViewReader), so the demo, the benchmark and the tests
-/// measure exactly the same code path.
-struct SessionConfig {
-  index::Variant variant = index::Variant::kTcsbr;
-  crypto::ChunkLayout layout;
-  crypto::TripleDes::Key key{};
-  uint32_t version = 0;       ///< Document version bound into ChunkDigests.
-  bool enable_skip = true;    ///< Default ServeOptions::enable_skip.
-  /// Default ServeOptions::pending_buffer_budget (see below).
-  uint64_t pending_buffer_budget = UINT64_MAX;
-  /// Cipher backend the store is encrypted under (a document property:
-  /// every session of the document decrypts with the same backend).
-  crypto::CipherBackendKind backend = crypto::CipherBackendKind::k3Des;
-};
-
-/// Per-serve overrides, so skip/defer/full comparisons reuse one
-/// owner-side build (parse/encode/encrypt happen once).
+/// Per-serve knobs, so skip/defer/full comparisons reuse one owner-side
+/// build (parse/encode/encrypt happen once, in server::DocumentService).
 struct ServeOptions {
   ServeOptions() = default;
   /// The common skip/budget pair; planner and cache knobs keep defaults.
@@ -53,21 +32,9 @@ struct ServeOptions {
   /// Fetch-planner knobs of this serve (gap threshold, batch horizon).
   index::PlannerOptions planner;
   /// Verified-digest cache entries in the per-serve SOE decryptor; 0
-  /// disables bare re-reads. Ignored when `shared_digest_cache` is set.
+  /// disables bare re-reads. Ignored when the serve is wired to a shared
+  /// cache (see ServeStream::Open).
   size_t digest_cache_capacity = crypto::SoeDecryptor::kDefaultDigestCacheCapacity;
-  /// Cross-serve shared verified-digest cache (the server layer's
-  /// per-(document, version) instance). When set, this serve reads and
-  /// writes the shared pool: a warm cache means trimmed proofs and bare
-  /// re-reads from the first request. Must be stamped with the serve's
-  /// document version (see SoeDecryptor); null keeps a private cache.
-  std::shared_ptr<crypto::VerifiedDigestCache> shared_digest_cache;
-  /// Out-of-process terminal: when set, the serve fetches through this
-  /// endpoint (e.g. a net::RemoteBatchSource speaking the wire framing
-  /// over TCP) instead of the in-process source the session would
-  /// otherwise use. The stream keeps the handle alive for its lifetime.
-  /// Trust is unchanged — geometry/key/version still arrive out of band,
-  /// and every byte this source returns passes the digest chain.
-  std::shared_ptr<const crypto::BatchSource> terminal_source;
 };
 
 /// Cost-model counters of one serve (the quantities of the paper's
@@ -100,34 +67,34 @@ struct ServeReport {
   /// Hash implementation ("sha-ni" or "portable") used for Merkle leaves,
   /// interior nodes and chunk digests.
   std::string hash_impl;
-  bool hash_hardware = false;
   /// Per-stage throughput over this serve's own wall clock (MB/s; 0 when
-  /// the stage never ran): block decryption, ciphertext hashing, and the
-  /// end-to-end serve rate (plaintext materialized over total serve time).
+  /// the stage never ran): block decryption and ciphertext hashing.
   double decrypt_mb_s = 0.0;
   double hash_mb_s = 0.0;
-  double serve_mb_s = 0.0;
   uint64_t serve_ns = 0;  ///< Wall clock of the whole drain (open to end).
 };
 
 /// The pull endpoint of one serve: owns the per-request SOE chain
 /// (decryptor, fetcher, navigator, reader) and yields the authorized view
-/// one event at a time, fetching/decrypting lazily as it goes. Obtain via
-/// SecureSession::OpenStream; the session must outlive the stream.
+/// one event at a time, fetching/decrypting lazily as it goes. The server
+/// layer opens one per server::SecureSession.
 class ServeStream {
  public:
-  /// Wires a complete per-serve SOE chain over any terminal endpoint: the
-  /// single-document facade passes its own store; the server layer passes
-  /// the document entry's live link (current store behind a lock) plus the
-  /// geometry/version of the snapshot the session was opened for, and the
-  /// shared digest cache via `options.shared_digest_cache`.
+  /// Wires a complete per-serve SOE chain. `snapshot` is the owner's copy
+  /// of the published store: geometry, cipher backend and the expected
+  /// document version are read from it (out of band), while every byte is
+  /// fetched through `source` — a document entry's live link, a remote
+  /// terminal, or `&snapshot` itself — and passes the digest chain. A
+  /// non-null `shared_cache` (stamped with the snapshot's version) replaces
+  /// the private `options.digest_cache_capacity` cache. `source` must
+  /// outlive the stream.
   static Result<std::unique_ptr<ServeStream>> Open(
-      const crypto::BatchSource* source, const crypto::ChunkLayout& layout,
-      uint64_t plaintext_size, uint64_t ciphertext_size, uint64_t chunk_count,
-      const crypto::TripleDes::Key& key, uint32_t version,
+      const crypto::BatchSource* source,
+      const crypto::SecureDocumentStore& snapshot,
+      const crypto::TripleDes::Key& key,
       const std::vector<access::AccessRule>& rules,
       const ServeOptions& options,
-      crypto::CipherBackendKind backend = crypto::CipherBackendKind::k3Des);
+      std::shared_ptr<crypto::VerifiedDigestCache> shared_cache = nullptr);
 
   ServeStream(const ServeStream&) = delete;
   ServeStream& operator=(const ServeStream&) = delete;
@@ -135,101 +102,32 @@ class ServeStream {
   /// Next authorized-view event; `.end` true after the last one.
   Result<ViewItem> Next() { return reader_->Next(); }
 
-  const DriveStats& drive() const { return reader_->stats(); }
+  /// Drains the remaining view into a serialized string plus the
+  /// cost-model counters of the serve — the one reporting path the demo,
+  /// bench, tests and the server layer all share.
+  Result<ServeReport> Drain();
+
   const access::RuleEvaluator::Stats& eval() const {
     return reader_->eval_stats();
   }
   const index::SecureFetcher& fetcher() const { return fetcher_; }
-  const crypto::SoeDecryptor::Counters& soe() const {
-    return soe_.counters();
-  }
-  crypto::VerifiedDigestCache::Stats cache_stats() const {
-    return soe_.cache_stats();
-  }
-  const char* backend_name() const { return soe_.backend_name(); }
-  bool backend_hardware_accelerated() const {
-    return soe_.backend_hardware_accelerated();
-  }
 
  private:
   ServeStream(const crypto::BatchSource* source,
-              const crypto::ChunkLayout& layout, uint64_t plaintext_size,
-              uint64_t ciphertext_size, uint64_t chunk_count,
-              const crypto::TripleDes::Key& key, uint32_t version,
-              const ServeOptions& options, crypto::CipherBackendKind backend)
-      : owned_source_(options.terminal_source),
-        soe_(key, layout, plaintext_size, chunk_count, version,
-             options.digest_cache_capacity, options.shared_digest_cache,
-             backend),
-        fetcher_(owned_source_ != nullptr ? owned_source_.get() : source,
-                 layout, plaintext_size, ciphertext_size, &soe_,
-                 options.planner) {}
+              const crypto::SecureDocumentStore& snapshot,
+              const crypto::TripleDes::Key& key, const ServeOptions& options,
+              std::shared_ptr<crypto::VerifiedDigestCache> shared_cache)
+      : soe_(key, snapshot.layout(), snapshot.plaintext_size(),
+             snapshot.chunk_count(), snapshot.version(),
+             options.digest_cache_capacity, std::move(shared_cache),
+             snapshot.backend()),
+        fetcher_(source, snapshot.layout(), snapshot.plaintext_size(),
+                 snapshot.ciphertext().size(), &soe_, options.planner) {}
 
-  /// Keep-alive for ServeOptions::terminal_source (remote endpoints are
-  /// shared across sessions; the in-process `source` is caller-owned).
-  std::shared_ptr<const crypto::BatchSource> owned_source_;
   crypto::SoeDecryptor soe_;
   index::SecureFetcher fetcher_;
   std::unique_ptr<index::DocumentNavigator> nav_;
   std::unique_ptr<AuthorizedViewReader> reader_;
-};
-
-/// Drains `stream` into a serialized view plus the cost-model counters of
-/// the serve — the one reporting path the demo, bench, tests and the
-/// server layer all share.
-Result<ServeReport> DrainServeStream(ServeStream* stream,
-                                     uint64_t encoded_bytes);
-
-class SecureSession {
- public:
-  /// Owner side: parses `xml`, encodes it under cfg.variant and hands the
-  /// encrypted image to the (simulated) terminal store.
-  static Result<SecureSession> Build(const std::string& xml,
-                                     const SessionConfig& cfg);
-
-  /// SOE side: opens a pull stream of the authorized view for `rules`
-  /// (already selected for the requesting subject) with fresh cost
-  /// counters.
-  Result<std::unique_ptr<ServeStream>> OpenStream(
-      const std::vector<access::AccessRule>& rules,
-      const ServeOptions& options) const;
-
-  /// Convenience: drains a stream into a serialized view + cost report.
-  Result<ServeReport> Serve(const std::vector<access::AccessRule>& rules,
-                            const ServeOptions& options) const;
-  Result<ServeReport> Serve(
-      const std::vector<access::AccessRule>& rules) const {
-    return Serve(rules, DefaultOptions());
-  }
-  Result<ServeReport> Serve(const std::vector<access::AccessRule>& rules,
-                            bool enable_skip) const {
-    ServeOptions options = DefaultOptions();
-    options.enable_skip = enable_skip;
-    return Serve(rules, options);
-  }
-
-  const crypto::SecureDocumentStore& store() const { return store_; }
-  /// Attack-emulation hooks (TamperByte etc.) for tests.
-  crypto::SecureDocumentStore* mutable_store() { return &store_; }
-  uint64_t encoded_bytes() const { return encoded_bytes_; }
-
- private:
-  SecureSession(SessionConfig cfg, crypto::SecureDocumentStore store,
-                uint64_t encoded_bytes)
-      : cfg_(std::move(cfg)),
-        store_(std::move(store)),
-        encoded_bytes_(encoded_bytes) {}
-
-  ServeOptions DefaultOptions() const {
-    ServeOptions options;
-    options.enable_skip = cfg_.enable_skip;
-    options.pending_buffer_budget = cfg_.pending_buffer_budget;
-    return options;
-  }
-
-  SessionConfig cfg_;
-  crypto::SecureDocumentStore store_;
-  uint64_t encoded_bytes_;
 };
 
 }  // namespace csxa::pipeline

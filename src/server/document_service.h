@@ -25,8 +25,9 @@ struct DocumentConfig {
   crypto::TripleDes::Key key{};
   /// Entries (chunks) of the per-(document, version) shared verified-digest
   /// cache. Sized to hold a whole document's chunks so a warm service
-  /// serves every session material-free; 0 falls back to private
-  /// per-serve caches.
+  /// serves every session material-free; 0 creates no shared cache, so
+  /// every serve starts cold with a private per-serve cache
+  /// (ServeOptions::digest_cache_capacity).
   size_t shared_cache_capacity = 128;
   /// Cipher backend the document is encrypted under; carried across
   /// Update() rebuilds so every version of a document uses one backend.
@@ -37,16 +38,14 @@ namespace internal {
 
 /// Immutable snapshot of one published document version: the encrypted
 /// store, its geometry, and the shared verified-digest cache stamped with
-/// this version. Sessions hold it by shared_ptr, so an Update never pulls
-/// memory out from under an in-flight serve — it only makes the serve
-/// *fail closed* (the live terminal link below starts answering with the
-/// next version's bytes and digests).
+/// this version (null when the document is published with
+/// `shared_cache_capacity` 0). Sessions hold it by shared_ptr, so an Update
+/// never pulls memory out from under an in-flight serve — it only makes the
+/// serve *fail closed* (the live terminal link below starts answering with
+/// the next version's bytes and digests).
 struct DocumentState {
-  crypto::SecureDocumentStore store;
-  uint64_t encoded_bytes = 0;
-  uint32_t version = 0;
+  crypto::SecureDocumentStore store;  ///< Also carries the version.
   crypto::TripleDes::Key key{};
-  index::Variant variant = index::Variant::kTcsbr;
   std::shared_ptr<crypto::VerifiedDigestCache> cache;
 };
 
@@ -90,14 +89,14 @@ class DocumentEntry : public crypto::BatchSource {
 
 }  // namespace internal
 
-/// One user's serve against a published document: a handle on the
-/// service's document entry (the live terminal link plus keep-alives for
-/// the version snapshot it was opened under) wrapping the per-serve SOE
-/// chain. Many SecureSessions run concurrently against one DocumentService;
-/// they share nothing mutable but the thread-safe verified-digest cache of
-/// their document version — which is what makes every session after the
-/// first start warm: trimmed proofs and bare re-reads from its first
-/// request.
+/// One user's serve against a published document: keep-alives for the
+/// terminal link it reads through (the document entry, or the transport
+/// attached when it was opened) and the version snapshot it was opened
+/// under, wrapping the per-serve SOE chain. Many SecureSessions run
+/// concurrently against one DocumentService; they share nothing mutable but
+/// the thread-safe verified-digest cache of their document version — which
+/// is what makes every session after the first start warm: trimmed proofs
+/// and bare re-reads from its first request.
 class SecureSession {
  public:
   SecureSession(const SecureSession&) = delete;
@@ -111,22 +110,22 @@ class SecureSession {
 
   /// Drains the remaining view into a serialized string + cost report.
   Result<pipeline::ServeReport> Drain() {
-    return pipeline::DrainServeStream(stream_.get(), state_->encoded_bytes);
+    return stream_->Drain();
   }
 
-  uint32_t version() const { return state_->version; }
+  uint32_t version() const { return state_->store.version(); }
   const pipeline::ServeStream& stream() const { return *stream_; }
 
  private:
   friend class DocumentService;
-  SecureSession(std::shared_ptr<internal::DocumentEntry> entry,
+  SecureSession(std::shared_ptr<const crypto::BatchSource> source,
                 std::shared_ptr<const internal::DocumentState> state,
                 std::unique_ptr<pipeline::ServeStream> stream)
-      : entry_(std::move(entry)),
+      : source_(std::move(source)),
         state_(std::move(state)),
         stream_(std::move(stream)) {}
 
-  std::shared_ptr<internal::DocumentEntry> entry_;  ///< Live terminal link.
+  std::shared_ptr<const crypto::BatchSource> source_;  ///< Terminal link.
   std::shared_ptr<const internal::DocumentState> state_;  ///< Version snapshot.
   std::unique_ptr<pipeline::ServeStream> stream_;
 };
@@ -165,7 +164,8 @@ class DocumentService {
   Status Update(const std::string& doc_id, const std::string& xml);
 
   /// SOE side: opens a pull session of the authorized view for `rules`
-  /// against the current version of `doc_id`, wired to the shared cache.
+  /// against the current version of `doc_id`, wired to the version's
+  /// shared cache (if it has one) and the attached transport (if any).
   Result<std::unique_ptr<SecureSession>> OpenSession(
       const std::string& doc_id,
       const std::vector<access::AccessRule>& rules,
@@ -177,7 +177,8 @@ class DocumentService {
       const pipeline::ServeOptions& options) const;
 
   Result<uint32_t> CurrentVersion(const std::string& doc_id) const;
-  /// Snapshot of the current version's shared-cache stats.
+  /// Snapshot of the current version's shared-cache stats; all zero when
+  /// the document has no shared cache (`shared_cache_capacity` 0).
   Result<crypto::VerifiedDigestCache::Stats> CacheStats(
       const std::string& doc_id) const;
 

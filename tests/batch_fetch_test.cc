@@ -13,31 +13,19 @@
 #include "access/access_rule.h"
 #include "crypto/digest_cache.h"
 #include "crypto/secure_store.h"
+#include "index/encoder.h"
 #include "index/fetch_planner.h"
 #include "index/secure_fetcher.h"
 #include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
+#include "serve_fixtures.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
-#include "xml/serializer.h"
 
 namespace {
 
-using namespace csxa;  // NOLINT
-
-crypto::TripleDes::Key TestKey() {
-  crypto::TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0xa7 ^ (i * 31));
-  }
-  return key;
-}
-
-std::string Payload(const char* stem, int i, size_t n) {
-  std::string s = std::string(stem) + "-" + std::to_string(i) + "-";
-  while (s.size() < n) s += "loremipsum";
-  s.resize(n);
-  return s;
-}
+using namespace csxa;           // NOLINT
+using namespace csxa::testing;  // NOLINT
 
 /// Folder set with bulky denied subtrees, rare grants, and a trailing
 /// clearance predicate — exercises skips, deferrals and re-reads at once.
@@ -67,15 +55,6 @@ const char* const kRuleSets[] = {
     "+ /Hospital/Folder[Clearance = open]/MedActs\n",
 };
 
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
-
 // ---------------------------------------------------------------------------
 // Coalescing equivalence matrix: gap thresholds x variants x rulesets.
 // ---------------------------------------------------------------------------
@@ -95,20 +74,12 @@ TEST(CoalescingEquivalenceMatrix) {
     const std::string expected = DirectView(xml, rules);
     for (auto variant : {index::Variant::kTc, index::Variant::kTcs,
                          index::Variant::kTcsb, index::Variant::kTcsbr}) {
-      pipeline::SessionConfig cfg;
-      cfg.variant = variant;
-      cfg.layout.chunk_size = 256;
-      cfg.layout.fragment_size = 32;
-      cfg.key = TestKey();
-      auto session = pipeline::SecureSession::Build(xml, cfg);
-      CHECK_OK(session.status());
-      if (!session.ok()) continue;
-
+      auto service = ColdService(xml, variant, 256, 32);
       uint64_t prev_requests = UINT64_MAX;
       for (uint64_t gap : kThresholds) {
         pipeline::ServeOptions opts;
         opts.planner.gap_threshold_bytes = gap;
-        auto report = session.value().Serve(rules, opts);
+        auto report = service->Serve("doc", rules, opts);
         CHECK_OK(report.status());
         if (!report.ok()) continue;
         CHECK_EQ(report.value().view, expected);
@@ -116,7 +87,7 @@ TEST(CoalescingEquivalenceMatrix) {
         prev_requests = report.value().requests;
         // Sanity: the batch accounting stays coherent.
         CHECK(report.value().segments >= report.value().requests);
-        CHECK(report.value().bytes_fetched <= session.value().encoded_bytes());
+        CHECK(report.value().bytes_fetched <= report.value().encoded_bytes);
       }
     }
   }
@@ -128,18 +99,12 @@ TEST(BatchHorizonDoesNotChangeViews) {
   const std::string xml = TestDocument(/*folders=*/3);
   auto rules = access::ParseRuleList("+ //Prescription\n").take();
   const std::string expected = DirectView(xml, rules);
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 128;
-  cfg.layout.fragment_size = 16;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
+  auto service = ColdService(xml, index::Variant::kTcsbr, 128, 16);
   uint64_t tiny_requests = 0, huge_requests = 0;
   for (uint64_t horizon : {uint64_t{16}, uint64_t{1} << 20}) {
     pipeline::ServeOptions opts;
     opts.planner.max_batch_bytes = horizon;
-    auto report = session.value().Serve(rules, opts);
+    auto report = service->Serve("doc", rules, opts);
     CHECK_OK(report.status());
     if (!report.ok()) continue;
     CHECK_EQ(report.value().view, expected);
@@ -392,20 +357,13 @@ TEST(DeferralRereadsUseDigestCache) {
       access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n")
           .take();
   const std::string expected = DirectView(xml, rules);
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
-
+  auto service = ColdService(xml, index::Variant::kTcsbr, 256, 32);
   pipeline::ServeOptions deferred;
   deferred.pending_buffer_budget = 64;  // Force deferrals + re-reads.
-  auto with_cache = session.value().Serve(rules, deferred);
+  auto with_cache = service->Serve("doc", rules, deferred);
   pipeline::ServeOptions no_cache = deferred;
   no_cache.digest_cache_capacity = 0;
-  auto without_cache = session.value().Serve(rules, no_cache);
+  auto without_cache = service->Serve("doc", rules, no_cache);
   CHECK_OK(with_cache.status());
   CHECK_OK(without_cache.status());
   if (!with_cache.ok() || !without_cache.ok()) return;
@@ -424,25 +382,38 @@ TEST(TamperedDeferralRereadIsRejectedThroughPipeline) {
   auto rules =
       access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n")
           .take();
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
-  pipeline::ServeOptions deferred;
-  deferred.pending_buffer_budget = 64;
-  auto clean = session.value().Serve(rules, deferred);
+  // The tamper hooks live on the terminal's store, so this drives the
+  // serve chain over a store built here rather than through a service.
+  auto dom = xml::SaxParser::ParseToDom(xml);
+  CHECK_OK(dom.status());
+  if (!dom.ok()) return;
+  auto doc = index::Encode(*dom.value(), index::Variant::kTcsbr);
+  CHECK_OK(doc.status());
+  if (!doc.ok()) return;
+  crypto::ChunkLayout layout;
+  layout.chunk_size = 256;
+  layout.fragment_size = 32;
+  auto store = crypto::SecureDocumentStore::Build(doc.value().bytes,
+                                                  TestKey(), layout);
+  CHECK_OK(store.status());
+  if (!store.ok()) return;
+  auto serve = [&]() -> Result<pipeline::ServeReport> {
+    pipeline::ServeOptions deferred;
+    deferred.pending_buffer_budget = 64;
+    CSXA_ASSIGN_OR_RETURN(
+        auto stream, pipeline::ServeStream::Open(&store.value(), store.value(),
+                                                 TestKey(), rules, deferred));
+    return stream->Drain();
+  };
+  auto clean = serve();
   CHECK_OK(clean.status());
   // Tamper somewhere in the first granted folder's MedActs region (the
   // re-read bytes): every 8th byte of the first third, to be sure at
   // least one lands in a deferred subtree whichever way it was encoded.
-  for (uint64_t pos = 64; pos < session.value().encoded_bytes() / 3;
-       pos += 8) {
-    session.value().mutable_store()->TamperByte(pos, 0x10);
+  for (uint64_t pos = 64; pos < doc.value().bytes.size() / 3; pos += 8) {
+    store.value().TamperByte(pos, 0x10);
   }
-  auto tampered = session.value().Serve(rules, deferred);
+  auto tampered = serve();
   CHECK(!tampered.ok());
   if (!tampered.ok()) {
     CHECK(tampered.status().code() == StatusCode::kIntegrityError);
@@ -459,20 +430,13 @@ TEST(FullStreamFetchesEveryFragmentExactlyOnce) {
   for (auto layout_pair : {std::pair<uint32_t, uint32_t>{256, 32},
                            {192, 24},   // 256-byte header prefetch unaligned
                            {64, 8}}) {
-    pipeline::SessionConfig cfg;
-    cfg.variant = index::Variant::kTc;  // Streams everything.
-    cfg.layout.chunk_size = layout_pair.first;
-    cfg.layout.fragment_size = layout_pair.second;
-    cfg.key = TestKey();
-    auto session = pipeline::SecureSession::Build(xml, cfg);
-    CHECK_OK(session.status());
-    if (!session.ok()) continue;
-    auto report = session.value().Serve(
-        std::vector<access::AccessRule>{}, pipeline::ServeOptions{});
+    auto service = ColdService(xml, index::Variant::kTc,  // Streams all.
+                               layout_pair.first, layout_pair.second);
+    auto report = service->Serve("doc", std::vector<access::AccessRule>{},
+                                 pipeline::ServeOptions{});
     CHECK_OK(report.status());
     if (!report.ok()) continue;
-    CHECK_EQ(report.value().bytes_fetched,
-             session.value().store().plaintext_size());
+    CHECK_EQ(report.value().bytes_fetched, report.value().encoded_bytes);
   }
 }
 

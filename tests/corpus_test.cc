@@ -9,26 +9,18 @@
 #include <vector>
 
 #include "access/access_rule.h"
-#include "access/rule_evaluator.h"
 #include "bench/corpus.h"
 #include "common/status.h"
 #include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
+#include "serve_fixtures.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
-#include "xml/serializer.h"
 
 namespace {
 
-using namespace csxa;  // NOLINT
-
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
+using namespace csxa;           // NOLINT
+using namespace csxa::testing;  // NOLINT
 
 bench::Corpus SmallCorpus(bench::CorpusFamily family, uint64_t seed = 1) {
   bench::CorpusSpec spec;
@@ -36,14 +28,6 @@ bench::Corpus SmallCorpus(bench::CorpusFamily family, uint64_t seed = 1) {
   spec.seed = seed;
   spec.target_bytes = 6 << 10;
   return bench::GenerateCorpus(spec);
-}
-
-crypto::TripleDes::Key TestKey() {
-  crypto::TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0x3c ^ (i * 41));
-  }
-  return key;
 }
 
 }  // namespace
@@ -147,14 +131,7 @@ TEST(AllFamiliesAllVariantsMatchDirectView) {
   for (bench::CorpusFamily family : bench::AllFamilies()) {
     const bench::Corpus corpus = SmallCorpus(family);
     for (index::Variant variant : variants) {
-      pipeline::SessionConfig cfg;
-      cfg.variant = variant;
-      cfg.key = TestKey();
-      cfg.layout.chunk_size = 1024;
-      cfg.layout.fragment_size = 64;
-      auto session = pipeline::SecureSession::Build(corpus.xml, cfg);
-      CHECK_OK(session.status());
-      if (!session.ok()) continue;
+      auto service = ColdService(corpus.xml, variant, 1024, 64);
       for (bench::RuleFamily rf : bench::AllRuleFamilies()) {
         auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
         CHECK_OK(rules.status());
@@ -164,7 +141,7 @@ TEST(AllFamiliesAllVariantsMatchDirectView) {
         pipeline::ServeOptions skip{/*enable_skip=*/true, UINT64_MAX};
         pipeline::ServeOptions deferred{/*enable_skip=*/true, 2048};
         for (const pipeline::ServeOptions& opts : {full, skip, deferred}) {
-          auto report = session.value().Serve(rules.value(), opts);
+          auto report = service->Serve("doc", rules.value(), opts);
           CHECK_OK(report.status());
           if (report.ok() && report.value().view != reference) {
             testing::Fail(

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -24,21 +25,15 @@
 #include "index/secure_fetcher.h"
 #include "pipeline/authorized_view_reader.h"
 #include "pipeline/secure_pipeline.h"
+#include "serve_fixtures.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
 
 namespace {
 
-using namespace csxa;  // NOLINT
+using namespace csxa;           // NOLINT
+using namespace csxa::testing;  // NOLINT
 using Nav = index::DocumentNavigator;
-
-crypto::TripleDes::Key TestKey() {
-  crypto::TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0x5d ^ (i * 29));
-  }
-  return key;
-}
 
 struct Range {
   uint64_t begin;
@@ -435,6 +430,96 @@ TEST(HugeTextLengthIsCorruption) {
   auto text = nav.value()->Next();
   CHECK(!text.ok());
   CHECK(text.status().code() == StatusCode::kCorruption);
+}
+
+// Authenticated but malformed images (an owner-side encoder bug): seeded
+// bit flips, truncations and a random byte followed by 0xff, over every
+// corpus family and variant, driven through Next() and random
+// SkipSubtree() in memory and — every 8th mutation — over the verified
+// fetch. Every outcome must be OK or Corruption, and no read may leave the
+// image (the ASan/UBSan build is the referee for that).
+StatusCode DriveToEnd(Nav* nav, std::mt19937_64* rng) {
+  for (int step = 0; step < (1 << 16); ++step) {
+    auto item = nav->Next();
+    if (!item.ok()) return item.status().code();
+    if (item.value().kind == Nav::ItemKind::kEnd) return StatusCode::kOk;
+    if (item.value().kind == Nav::ItemKind::kOpen && nav->CanSkip() &&
+        (*rng)() % 4 == 0) {
+      Status skipped = nav->SkipSubtree();
+      if (!skipped.ok()) return skipped.code();
+    }
+  }
+  return StatusCode::kOk;
+}
+
+TEST(MalformedImagesFailAsCorruption) {
+  constexpr int kMutationsPerVariant = 150;
+  crypto::ChunkLayout layout;
+  layout.chunk_size = 256;
+  layout.fragment_size = 32;
+  std::mt19937_64 rng(20040831);
+  uint64_t corrupt = 0;
+  for (bench::CorpusFamily family : bench::AllFamilies()) {
+    bench::CorpusSpec spec;
+    spec.family = family;
+    spec.seed = 1;
+    spec.target_bytes = 3 << 10;
+    const std::string xml = bench::GenerateCorpus(spec).xml;
+    for (index::Variant variant : kVariants) {
+      const index::EncodedDocument clean = EncodeXml(xml, variant);
+      if (clean.bytes.empty()) continue;
+      for (int m = 0; m < kMutationsPerVariant; ++m) {
+        index::EncodedDocument doc = clean;
+        std::vector<uint8_t>& bytes = doc.bytes;
+        switch (m % 3) {
+          case 0:  // One to four bit flips.
+            for (uint64_t f = rng() % 4; f < 4; ++f) {
+              bytes[rng() % bytes.size()] ^= uint8_t{1} << (rng() % 8);
+            }
+            break;
+          case 1:  // Truncation.
+            bytes.resize(rng() % bytes.size());
+            break;
+          default: {  // A random byte, then 0xff (long varints, big sizes).
+            const size_t pos = rng() % bytes.size();
+            bytes[pos] = static_cast<uint8_t>(rng());
+            if (pos + 1 < bytes.size()) bytes[pos + 1] = 0xff;
+          }
+        }
+        auto mem = Nav::Open(&doc);
+        StatusCode code = mem.ok() ? DriveToEnd(mem.value().get(), &rng)
+                                   : mem.status().code();
+        if (m % 8 == 0 && !bytes.empty()) {
+          auto store = crypto::SecureDocumentStore::Build(bytes, TestKey(),
+                                                          layout);
+          CHECK_OK(store.status());
+          if (!store.ok()) continue;
+          crypto::SoeDecryptor soe(TestKey(), layout,
+                                   store.value().plaintext_size(),
+                                   store.value().chunk_count());
+          index::SecureFetcher fetcher(&store.value(), &soe);
+          auto fetched = Nav::OpenBuffer(fetcher.verified_view(), &fetcher);
+          const StatusCode fetched_code =
+              fetched.ok() ? DriveToEnd(fetched.value().get(), &rng)
+                           : fetched.status().code();
+          if (fetched_code != StatusCode::kOk &&
+              fetched_code != StatusCode::kCorruption) {
+            code = fetched_code;
+          }
+        }
+        if (code == StatusCode::kCorruption) ++corrupt;
+        if (code != StatusCode::kOk && code != StatusCode::kCorruption) {
+          testing::Fail(__FILE__, __LINE__,
+                        std::string(bench::FamilyName(family)) + "/" +
+                            VariantName(variant) + " mutation " +
+                            std::to_string(m) + ": status code " +
+                            std::to_string(static_cast<int>(code)));
+        }
+      }
+    }
+  }
+  // The generator is not vacuous: mutations do get caught.
+  CHECK(corrupt > 0);
 }
 
 }  // namespace

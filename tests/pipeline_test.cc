@@ -14,6 +14,8 @@
 #include "index/encoder.h"
 #include "index/secure_fetcher.h"
 #include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
+#include "serve_fixtures.h"
 #include "testing.h"
 #include "xml/node.h"
 #include "xml/sax_parser.h"
@@ -21,15 +23,8 @@
 
 namespace {
 
-using namespace csxa;  // NOLINT
-
-crypto::TripleDes::Key TestKey() {
-  crypto::TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0x5a ^ (i * 13));
-  }
-  return key;
-}
+using namespace csxa;           // NOLINT
+using namespace csxa::testing;  // NOLINT
 
 const char kDoc[] =
     "<Folder><Admin><Name>Jane</Name><SSN>123-45</SSN></Admin>"
@@ -51,31 +46,18 @@ std::vector<access::AccessRule> TestRules() {
   return rules.ok() ? rules.take() : std::vector<access::AccessRule>{};
 }
 
-/// Oracle: evaluate straight from the SAX parser, no encoding/encryption.
-std::string DirectView(const std::string& xml) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(TestRules(), &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
-
-
 Result<std::string> SecureView(const std::string& xml,
                                index::Variant variant,
                                const crypto::ChunkLayout& layout) {
-  pipeline::SessionConfig cfg;
-  cfg.variant = variant;
-  cfg.layout = layout;
-  cfg.key = TestKey();
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
-  CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport report,
-                        session.Serve(TestRules()));
+  CSXA_ASSIGN_OR_RETURN(
+      pipeline::ServeReport report,
+      ColdService(xml, variant, layout.chunk_size, layout.fragment_size)
+          ->Serve("doc", TestRules(), pipeline::ServeOptions{}));
   return report.view;
 }
 
 TEST(SecureViewMatchesDirectView) {
-  const std::string expected = DirectView(kDoc);
+  const std::string expected = DirectView(kDoc, TestRules());
   CHECK_EQ(expected,
            "<Folder><Admin><Name>Jane</Name></Admin><MedActs>"
            "<Analysis><Type>G3</Type><Cholesterol>260</Cholesterol>"
@@ -147,7 +129,7 @@ TEST(SkippedSubtreesAreNeverFetched) {
 }
 
 TEST(PullStreamMatchesServeAndFetchesLazily) {
-  // The pull API (OpenStream/Next) is the same code path Serve drains: the
+  // The pull API (OpenSession/Next) is the same code path Serve drains: the
   // concatenated events must serialize to the identical view, and the
   // first event must be deliverable before the whole document has been
   // fetched/decrypted (the reader advances the navigate→evaluate loop only
@@ -162,31 +144,25 @@ TEST(PullStreamMatchesServeAndFetchesLazily) {
   if (!parsed.ok()) return;
   std::vector<access::AccessRule> rules = parsed.take();
 
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 64;
-  cfg.layout.fragment_size = 8;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
-  auto report = session.value().Serve(rules);
+  auto service = ColdService(xml, index::Variant::kTcsbr, 64, 8);
+  auto report = service->Serve("doc", rules, pipeline::ServeOptions{});
   CHECK_OK(report.status());
   if (!report.ok()) return;
 
-  auto stream = session.value().OpenStream(rules, pipeline::ServeOptions{});
-  CHECK_OK(stream.status());
-  if (!stream.ok()) return;
+  auto session = service->OpenSession("doc", rules, pipeline::ServeOptions{});
+  CHECK_OK(session.status());
+  if (!session.ok()) return;
   xml::SerializingHandler ser;
   bool first_event_before_full_fetch = false;
   size_t events = 0;
   while (true) {
-    auto item = stream.value()->Next();
+    auto item = session.value()->Next();
     CHECK_OK(item.status());
     if (!item.ok() || item.value().end) break;
     if (++events == 1) {
       first_event_before_full_fetch =
-          stream.value()->fetcher().bytes_fetched() * 2 <
-          session.value().store().plaintext_size();
+          session.value()->stream().fetcher().bytes_fetched() * 2 <
+          report.value().encoded_bytes;
     }
     ser.Feed(item.value().event, item.value().depth);
   }

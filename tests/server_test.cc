@@ -15,28 +15,13 @@
 #include "batch_read.h"
 #include "pipeline/secure_pipeline.h"
 #include "server/document_service.h"
+#include "serve_fixtures.h"
 #include "testing.h"
-#include "xml/sax_parser.h"
-#include "xml/serializer.h"
 
 namespace {
 
-using namespace csxa;  // NOLINT
-
-crypto::TripleDes::Key TestKey() {
-  crypto::TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0x9e ^ (i * 17));
-  }
-  return key;
-}
-
-std::string Payload(const char* stem, int i, size_t n) {
-  std::string s = std::string(stem) + "-" + std::to_string(i) + "-";
-  while (s.size() < n) s += "loremipsum";
-  s.resize(n);
-  return s;
-}
+using namespace csxa;           // NOLINT
+using namespace csxa::testing;  // NOLINT
 
 /// Folder set with bulky denied subtrees, needle grants, and a trailing
 /// clearance predicate; `tag` varies the payload text (same length) so
@@ -66,16 +51,6 @@ const char* const kRuleSets[] = {
     "+ //Prescription\n",
     "+ /Hospital/Folder[Clearance = open]/MedActs\n",
 };
-
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
-
 server::DocumentConfig TestConfig(index::Variant variant) {
   server::DocumentConfig cfg;
   cfg.variant = variant;
@@ -204,6 +179,50 @@ TEST(WarmDeferralRereadsAreBare) {
   CHECK(cold.value().drive.reread_fetched_bytes <=
         (cold.value().drive.reread_bits + 7) / 8 +
             2 * 32 * cold.value().drive.rereads);  // fragment-rounding slack
+}
+
+TEST(ZeroSharedCacheCapacityServesEveryRequestCold) {
+  // `shared_cache_capacity` 0 means no shared cache: every serve gets a
+  // private per-serve cache of the default size, so the second serve of
+  // such a service pays exactly what the first serve of a fresh service
+  // with a default-sized shared cache pays — deferral re-reads within the
+  // serve still verify bare.
+  const std::string xml = TestDocument(/*folders=*/6);
+  auto rules =
+      access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n")
+          .take();
+  pipeline::ServeOptions opts;
+  opts.pending_buffer_budget = 64;  // Force deferrals + re-reads.
+
+  server::DocumentConfig cold_cfg = TestConfig(index::Variant::kTcsbr);
+  cold_cfg.shared_cache_capacity = 0;
+  server::DocumentService cold;
+  CHECK_OK(cold.Publish("doc", xml, cold_cfg));
+  CHECK_OK(cold.Serve("doc", rules, opts).status());
+  auto second = cold.Serve("doc", rules, opts);
+
+  server::DocumentConfig fresh_cfg = TestConfig(index::Variant::kTcsbr);
+  fresh_cfg.shared_cache_capacity =
+      crypto::SoeDecryptor::kDefaultDigestCacheCapacity;
+  server::DocumentService fresh;
+  CHECK_OK(fresh.Publish("doc", xml, fresh_cfg));
+  auto first = fresh.Serve("doc", rules, opts);
+
+  CHECK_OK(second.status());
+  CHECK_OK(first.status());
+  if (!second.ok() || !first.ok()) return;
+  CHECK_EQ(second.value().view, DirectView(xml, rules));
+  CHECK(second.value().bare_chunk_reads > 0);
+  CHECK_EQ(second.value().bare_chunk_reads, first.value().bare_chunk_reads);
+  CHECK_EQ(second.value().wire_bytes, first.value().wire_bytes);
+  CHECK_EQ(second.value().requests, first.value().requests);
+
+  auto stats = cold.CacheStats("doc");
+  CHECK_OK(stats.status());
+  if (stats.ok()) {
+    CHECK_EQ(stats.value().bare_hits, uint64_t{0});
+    CHECK_EQ(stats.value().records, uint64_t{0});
+  }
 }
 
 // ---------------------------------------------------------------------------

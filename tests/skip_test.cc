@@ -12,22 +12,15 @@
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
 #include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
+#include "serve_fixtures.h"
 #include "testing.h"
-#include "xml/sax_parser.h"
 #include "xml/serializer.h"
 
 namespace {
 
-using namespace csxa;  // NOLINT
-
-crypto::TripleDes::Key TestKey() {
-  crypto::TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0x5a ^ (i * 13));
-  }
-  return key;
-}
-
+using namespace csxa;           // NOLINT
+using namespace csxa::testing;  // NOLINT
 /// `bulk` scales the denied administrative subtrees: the strict
 /// wire-reduction tests use a bulk where pruned regions span whole chunks
 /// (the paper's setting — its skipped subtrees dwarf the chunk size);
@@ -99,27 +92,22 @@ std::vector<access::AccessRule> ParseRules(const std::string& text) {
   return rules.ok() ? rules.take() : std::vector<access::AccessRule>{};
 }
 
-/// Oracle-free reference: evaluate straight from the SAX parser.
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
+/// One cold serve (no shared digest cache) of `xml` published fresh under
+/// the 256/32 layout.
+Result<pipeline::ServeReport> ServeOpts(const std::string& xml,
+                                        index::Variant variant,
+                                        const pipeline::ServeOptions& opts,
+                                        const std::vector<access::AccessRule>&
+                                            rules) {
+  return ColdService(xml, variant, 256, 32)->Serve("doc", rules, opts);
 }
 
 Result<pipeline::ServeReport> Serve(const std::string& xml,
                                     index::Variant variant, bool enable_skip,
                                     const std::vector<access::AccessRule>&
                                         rules) {
-  pipeline::SessionConfig cfg;
-  cfg.variant = variant;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
-  return session.Serve(rules, enable_skip);
+  return ServeOpts(xml, variant,
+                   pipeline::ServeOptions(enable_skip, UINT64_MAX), rules);
 }
 
 TEST(SkipViewIdenticalAcrossVariantsAndRuleSets) {
@@ -311,20 +299,6 @@ TEST(OracleDescendsWhilePredicateEvidencePossible) {
 // ---------------------------------------------------------------------------
 // Deferred pending subtrees (skip-now-reread-later).
 // ---------------------------------------------------------------------------
-
-Result<pipeline::ServeReport> ServeOpts(const std::string& xml,
-                                        index::Variant variant,
-                                        const pipeline::ServeOptions& opts,
-                                        const std::vector<access::AccessRule>&
-                                            rules) {
-  pipeline::SessionConfig cfg;
-  cfg.variant = variant;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
-  return session.Serve(rules, opts);
-}
 
 /// A document whose largest subtree (MedActs) is guarded by a predicate
 /// whose evidence (Clearance) arrives only *after* it in document order —

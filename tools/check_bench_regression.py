@@ -9,7 +9,9 @@ never gated.
 Usage: check_bench_regression.py BASELINE.json FRESH.json [tolerance]
 
 `tolerance` is a fractional slack (default 0.02) absorbing byte-count
-jitter from layout-incidental effects; requests are gated exactly.
+jitter from layout-incidental effects; requests are gated exactly, in both
+directions: a changed round-trip count means the fetch plan changed, and
+a deliberate change comes with a new baseline.
 """
 
 import json
@@ -43,9 +45,9 @@ def main():
             where = f'{scenario["name"]}/{variant["variant"]}'
             if not variant.get("view_matches_reference", False):
                 rc |= fail(f"{where}: authorized view diverges")
-            if variant["requests"] > ref["requests"]:
+            if variant["requests"] != ref["requests"]:
                 rc |= fail(
-                    f'{where}: requests {variant["requests"]} > '
+                    f'{where}: requests {variant["requests"]} != '
                     f'baseline {ref["requests"]}')
             for key in ("wire_bytes", "peak_buffered_bytes"):
                 if variant[key] > ref[key] * (1 + tolerance):
@@ -61,6 +63,11 @@ def main():
                 rc |= fail(
                     f'deferred_mode/{strategy}: {key} {cur[key]} > '
                     f'baseline {ref[key]} (+{tolerance:.0%})')
+        # Baselines predating the deferred-mode request count skip this.
+        if "requests" in ref and cur.get("requests") != ref["requests"]:
+            rc |= fail(
+                f'deferred_mode/{strategy}: requests {cur.get("requests")} '
+                f'!= baseline {ref["requests"]}')
 
     # Shared-cache economics must not regress: a warm serve that starts
     # re-shipping tree hashes or digests has lost cross-serve sharing, and

@@ -309,23 +309,39 @@ Result<VariantRun> RunNc(const std::string& xml,
   return run;
 }
 
+/// Publication parameters of a bench document. The Figure-8 matrix and the
+/// deferred-mode section pass `shared_cache_capacity` 0: no shared digest
+/// cache, so every serve starts cold and its counters describe it alone.
+server::DocumentConfig BenchConfig(
+    index::Variant variant, const crypto::ChunkLayout& layout,
+    crypto::CipherBackendKind backend,
+    size_t shared_cache_capacity =
+        server::DocumentConfig{}.shared_cache_capacity) {
+  server::DocumentConfig cfg;
+  cfg.variant = variant;
+  cfg.layout = layout;
+  cfg.key = BenchKey();
+  cfg.shared_cache_capacity = shared_cache_capacity;
+  cfg.backend = backend;
+  return cfg;
+}
+
 Result<VariantRun> RunVariant(const std::string& xml, index::Variant variant,
                               const std::vector<access::AccessRule>& rules,
                               const crypto::ChunkLayout& layout,
                               crypto::CipherBackendKind backend) {
   if (variant == index::Variant::kNc) return RunNc(xml, rules, layout, backend);
-  pipeline::SessionConfig cfg;
-  cfg.variant = variant;
-  cfg.layout = layout;
-  cfg.key = BenchKey();
-  cfg.backend = backend;
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
+  server::DocumentService service;
+  CSXA_RETURN_NOT_OK(
+      service.Publish("bench", xml, BenchConfig(variant, layout, backend, 0)));
   const uint64_t t0 = NowNs();
-  CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport report,
-                        session.Serve(rules, /*enable_skip=*/true));
+  CSXA_ASSIGN_OR_RETURN(
+      pipeline::ServeReport report,
+      service.Serve("bench", rules, pipeline::ServeOptions(true, UINT64_MAX)));
   const uint64_t serve_ns = NowNs() - t0;
-  CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport full,
-                        session.Serve(rules, /*enable_skip=*/false));
+  CSXA_ASSIGN_OR_RETURN(
+      pipeline::ServeReport full,
+      service.Serve("bench", rules, pipeline::ServeOptions(false, UINT64_MAX)));
   if (full.view != report.view) {
     return Status::Internal("skip-enabled view diverges from full streaming");
   }
@@ -396,22 +412,19 @@ bool RunDeferredMode(std::string* json, const crypto::ChunkLayout& layout,
   if (!parsed.ok()) return false;
   std::vector<access::AccessRule> rules = parsed.take();
 
-  pipeline::SessionConfig cfg;
-  cfg.layout = layout;
-  cfg.key = BenchKey();
-  cfg.backend = backend;
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  if (!session.ok()) {
-    std::fprintf(stderr, "deferred_mode: %s\n",
-                 session.status().ToString().c_str());
+  server::DocumentService service;
+  Status published = service.Publish(
+      "guarded", xml, BenchConfig(index::Variant::kTcsbr, layout, backend, 0));
+  if (!published.ok()) {
+    std::fprintf(stderr, "deferred_mode: %s\n", published.ToString().c_str());
     return false;
   }
   pipeline::ServeOptions deferred{/*enable_skip=*/true, kBudget};
   pipeline::ServeOptions buffered{/*enable_skip=*/true, UINT64_MAX};
   pipeline::ServeOptions full{/*enable_skip=*/false, UINT64_MAX};
-  auto d = session.value().Serve(rules, deferred);
-  auto b = session.value().Serve(rules, buffered);
-  auto f = session.value().Serve(rules, full);
+  auto d = service.Serve("guarded", rules, deferred);
+  auto b = service.Serve("guarded", rules, buffered);
+  auto f = service.Serve("guarded", rules, full);
   if (!d.ok() || !b.ok() || !f.ok()) {
     std::fprintf(stderr, "deferred_mode: serve failed\n");
     return false;
@@ -469,6 +482,7 @@ bool RunDeferredMode(std::string* json, const crypto::ChunkLayout& layout,
   auto emit = [&](const char* name, const pipeline::ServeReport& r) {
     *json += std::string("    \"") + name + "\": {";
     *json += "\"wire_bytes\": " + u64(r.wire_bytes);
+    *json += ", \"requests\": " + u64(r.requests);
     *json += ", \"bytes_decrypted\": " + u64(r.soe.bytes_decrypted);
     *json += ", \"peak_buffered\": " + u64(r.eval.peak_buffered);
     *json += ", \"peak_buffered_bytes\": " + u64(r.eval.peak_buffered_bytes);
@@ -512,15 +526,11 @@ bool RunWarmCache(std::string* json, int folders,
                   crypto::CipherBackendKind backend) {
   const std::string xml = MakeDocument(folders, /*consults=*/3,
                                        /*analyses=*/4);
-  server::DocumentConfig cfg;
-  cfg.variant = index::Variant::kTcsbr;
   // A finer-grained layout than the main matrix: the integrity-overhead
   // regime (proof hashes rival fragment payloads) is exactly where the
   // shared cache pays, and where SOE-class devices with small RAM sit.
-  cfg.layout.chunk_size = 512;
-  cfg.layout.fragment_size = 32;
-  cfg.key = BenchKey();
-  cfg.backend = backend;
+  const server::DocumentConfig cfg =
+      BenchConfig(index::Variant::kTcsbr, {512, 32}, backend);
   server::DocumentService service;
   if (!service.Publish("bench", xml, cfg).ok()) return false;
   auto parsed = access::ParseRuleList("+ //Prescription\n");
@@ -970,12 +980,8 @@ bool RunLatencySweep(std::string* json, int folders,
            ",\n    \"points\": [\n";
   for (size_t p = 0; p < 3; ++p) {
     const uint64_t rtt_ns = kRttMs[p] * 1'000'000ULL;
-    server::DocumentConfig cfg;
-    cfg.variant = index::Variant::kTcsbr;
-    cfg.layout.chunk_size = 1024;
-    cfg.layout.fragment_size = 64;
-    cfg.key = BenchKey();
-    cfg.backend = backend;
+    const server::DocumentConfig cfg =
+        BenchConfig(index::Variant::kTcsbr, {1024, 64}, backend);
     server::DocumentService service;
     if (!service.Publish("sweep_skip", xml, cfg).ok()) {
       std::fprintf(stderr, "latency_sweep: publish failed\n");
@@ -1178,13 +1184,9 @@ bool RunFaultMatrix(std::string* json) {
             std::string(fc.name) + "/" +
             crypto::CipherBackendKindName(backend) +
             (warm ? "/warm" : "/cold");
-        server::DocumentConfig cfg;
-        cfg.variant = index::Variant::kTcsbr;
-        cfg.layout.chunk_size = 256;
-        cfg.layout.fragment_size = 32;
-        cfg.key = BenchKey();
-        cfg.backend = backend;
         server::DocumentService service;
+        const server::DocumentConfig cfg =
+            BenchConfig(index::Variant::kTcsbr, {256, 32}, backend);
         if (!service.Publish("doc", xml, cfg).ok()) return false;
         net::TerminalServer server;
         auto link = service.TerminalLink("doc");

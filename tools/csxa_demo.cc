@@ -31,8 +31,10 @@
 #include "access/rule_evaluator.h"
 #include "common/status.h"
 #include "crypto/secure_store.h"
+#include "index/encoder.h"
 #include "index/variants.h"
 #include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
 #include "xml/stats.h"
@@ -120,13 +122,14 @@ Result<std::string> ReadFile(const std::string& path) {
   return ss.str();
 }
 
-pipeline::SessionConfig DemoConfig(const Options& opt) {
-  pipeline::SessionConfig cfg;
+/// Every serve starts cold (shared_cache_capacity 0), so the printed cost
+/// model is that of one serve in isolation.
+server::DocumentConfig DemoConfig(const Options& opt) {
+  server::DocumentConfig cfg;
   cfg.variant = opt.variant;
   cfg.layout = opt.layout;
   cfg.key = DemoKey();
-  cfg.enable_skip = opt.enable_skip;
-  cfg.pending_buffer_budget = opt.defer_budget;
+  cfg.shared_cache_capacity = 0;
   cfg.backend = opt.backend;
   return cfg;
 }
@@ -136,13 +139,23 @@ pipeline::SessionConfig DemoConfig(const Options& opt) {
 bool TamperIsDetected(const std::string& xml,
                       const std::vector<access::AccessRule>& rules,
                       const Options& opt) {
-  auto session = pipeline::SecureSession::Build(xml, DemoConfig(opt));
-  if (!session.ok()) return false;
-  session.value().mutable_store()->TamperByte(
-      session.value().encoded_bytes() / 2, 0x40);
-  auto report = session.value().Serve(rules, /*enable_skip=*/false);
-  return !report.ok() &&
-         report.status().code() == StatusCode::kIntegrityError;
+  Status st = [&]() -> Status {
+    CSXA_ASSIGN_OR_RETURN(auto dom, xml::SaxParser::ParseToDom(xml));
+    CSXA_ASSIGN_OR_RETURN(index::EncodedDocument doc,
+                          index::Encode(*dom, opt.variant));
+    CSXA_ASSIGN_OR_RETURN(crypto::SecureDocumentStore store,
+                          crypto::SecureDocumentStore::Build(
+                              doc.bytes, DemoKey(), opt.layout,
+                              /*version=*/0, opt.backend));
+    store.TamperByte(doc.bytes.size() / 2, 0x40);
+    CSXA_ASSIGN_OR_RETURN(
+        auto stream,
+        pipeline::ServeStream::Open(
+            &store, store, DemoKey(), rules,
+            pipeline::ServeOptions(/*skip=*/false, opt.defer_budget)));
+    return stream->Drain().status();
+  }();
+  return st.code() == StatusCode::kIntegrityError;
 }
 
 int Run(const Options& opt) {
@@ -203,13 +216,15 @@ int Run(const Options& opt) {
     }
   }
 
-  auto session = pipeline::SecureSession::Build(xml, DemoConfig(opt));
-  if (!session.ok()) {
-    std::fprintf(stderr, "session: %s\n",
-                 session.status().ToString().c_str());
+  server::DocumentService service;
+  Status published = service.Publish("demo", xml, DemoConfig(opt));
+  if (!published.ok()) {
+    std::fprintf(stderr, "session: %s\n", published.ToString().c_str());
     return 2;
   }
-  auto result = session.value().Serve(subject_rules);
+  auto result = service.Serve(
+      "demo", subject_rules,
+      pipeline::ServeOptions(opt.enable_skip, opt.defer_budget));
   if (!result.ok()) {
     std::fprintf(stderr, "pipeline: %s\n",
                  result.status().ToString().c_str());
@@ -274,7 +289,9 @@ int Run(const Options& opt) {
     int rc = 0;
     // The skip-enabled view must be byte-identical to full streaming,
     // whatever the document and rules.
-    auto full = session.value().Serve(subject_rules, /*enable_skip=*/false);
+    auto full = service.Serve(
+        "demo", subject_rules,
+        pipeline::ServeOptions(/*skip=*/false, opt.defer_budget));
     if (!full.ok()) {
       std::fprintf(stderr, "selftest: full-streaming run failed: %s\n",
                    full.status().ToString().c_str());
@@ -289,10 +306,9 @@ int Run(const Options& opt) {
     // So must the most aggressive deferral strategy (budget 0: every
     // pending subtree that can be safely skipped is skipped and re-read
     // only on grant).
-    pipeline::ServeOptions deferred;
-    deferred.enable_skip = true;
-    deferred.pending_buffer_budget = 0;
-    auto defer = session.value().Serve(subject_rules, deferred);
+    auto defer = service.Serve(
+        "demo", subject_rules,
+        pipeline::ServeOptions(/*skip=*/true, /*budget=*/0));
     if (!defer.ok()) {
       std::fprintf(stderr, "selftest: deferred-mode run failed: %s\n",
                    defer.status().ToString().c_str());

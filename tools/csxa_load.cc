@@ -17,10 +17,12 @@
 // retryable transport classes when --faults programs weather), or no
 // serve completed at all.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "bench/load_harness.h"
 
@@ -45,7 +47,10 @@ void Usage() {
                "  --variant V      nc|tc|tcs|tcsb|tcsbr (default tcsbr)\n"
                "  --chunk N        chunk size in bytes (default 1024)\n"
                "  --fragment N     fragment size in bytes (default 64)\n"
-               "  --cache N        shared digest-cache capacity (default 4096)\n"
+               "  --cache N        shared digest-cache capacity (default 4096;"
+               " 0 = no shared cache,\n"
+               "                   every serve starts cold with a private"
+               " cache)\n"
                "  --backend B      cipher backend: 3des (default), aes,"
                " aes-portable\n"
                "  --out FILE       also write the report JSON to FILE\n"
@@ -93,6 +98,15 @@ bool ParseFamilies(const std::string& arg, std::vector<CorpusFamily>* out) {
   return !out->empty();
 }
 
+/// Parses all of `text` as a number of type T (base 10 for integers);
+/// false on an empty string, trailing characters or a value out of range.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 bool ParseVariant(const std::string& arg, csxa::index::Variant* out) {
   using csxa::index::Variant;
   if (arg == "nc") *out = Variant::kNc;
@@ -115,6 +129,7 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool parsed = true;
     if (arg == "--smoke") {
       config.families = csxa::bench::PaperFamilies();
       config.target_bytes = 1 << 20;
@@ -143,41 +158,46 @@ int main(int argc, char** argv) {
     } else if (arg == "--families" && (v = next())) {
       if (!ParseFamilies(v, &config.families)) return 2;
     } else if (arg == "--bytes" && (v = next())) {
-      config.target_bytes = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.target_bytes);
     } else if (arg == "--threads" && (v = next())) {
-      config.threads = std::atoi(v);
+      parsed = ParseNumber(v, &config.threads);
     } else if (arg == "--serves" && (v = next())) {
-      config.serves_per_thread = std::atoi(v);
+      parsed = ParseNumber(v, &config.serves_per_thread);
     } else if (arg == "--versions" && (v = next())) {
-      config.version_bumps = std::atoi(v);
+      parsed = ParseNumber(v, &config.version_bumps);
     } else if (arg == "--seed" && (v = next())) {
-      config.seed = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.seed);
     } else if (arg == "--zipf" && (v = next())) {
-      config.zipf_s = std::strtod(v, nullptr);
+      parsed = ParseNumber(v, &config.zipf_s);
     } else if (arg == "--variant" && (v = next())) {
-      if (!ParseVariant(v, &config.variant)) {
-        Usage();
-        return 2;
-      }
+      parsed = ParseVariant(v, &config.variant);
     } else if (arg == "--chunk" && (v = next())) {
-      config.layout.chunk_size = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.layout.chunk_size);
     } else if (arg == "--fragment" && (v = next())) {
-      config.layout.fragment_size = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.layout.fragment_size);
     } else if (arg == "--cache" && (v = next())) {
-      config.shared_cache_capacity = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.shared_cache_capacity);
     } else if (arg == "--out" && (v = next())) {
       out_path = v;
     } else if (arg == "--remote") {
       config.remote = true;
     } else if (arg == "--rtt" && (v = next())) {
       config.remote = true;
-      config.rtt_ns = std::strtoull(v, nullptr, 10) * 1'000'000ULL;
+      uint64_t rtt_ms = 0;
+      parsed = ParseNumber(v, &rtt_ms) && rtt_ms <= UINT64_MAX / 1'000'000;
+      config.rtt_ns = rtt_ms * 1'000'000ULL;
     } else if (arg == "--faults" && (v = next())) {
       config.remote = true;
-      config.fault_count = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.fault_count);
     } else if (arg == "--fault-seed" && (v = next())) {
-      config.fault_seed = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &config.fault_seed);
     } else {
+      Usage();
+      return 2;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "csxa_load: bad value '%s' for %s\n", v,
+                   arg.c_str());
       Usage();
       return 2;
     }

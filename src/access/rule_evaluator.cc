@@ -108,11 +108,10 @@ using internal::PredInstance;
 // ---------------------------------------------------------------------------
 
 struct RuleEvaluator::NodeRec {
-  /// A rule targeting this node or one of its ancestors (propagation).
+  /// A rule targeting this node.
   struct Hit {
     const AccessRule* rule = nullptr;
-    int target_depth = 0;  ///< Depth of the target node = specificity.
-    CondSet conds;         ///< Pending predicates the match traversed.
+    CondSet conds;  ///< Pending predicates the match traversed.
   };
 
   int depth = 0;
@@ -120,6 +119,9 @@ struct RuleEvaluator::NodeRec {
   /// Hits whose target is this very node; Decide() walks the parent chain
   /// for the inherited (propagated) ones.
   std::vector<Hit> hits;
+  /// Decide()'s answer once it is irrevocable (kDeny or kPermit); kPending
+  /// while it is not known to be.
+  Decision decided = Decision::kPending;
 
   bool closed = false;
   size_t open_qpos = 0;
@@ -209,55 +211,59 @@ CondState EvalConds(const CondSet& conds, CondSet* blockers = nullptr) {
 
 }  // namespace
 
-Decision RuleEvaluator::Decide(const NodeRec& node, CondSet* blockers) const {
+Decision RuleEvaluator::Decide(NodeRec& node, CondSet* blockers) {
   // Applicable hits are the node's own plus every ancestor's
-  // (propagation), reached by walking the parent chain rather than copying
-  // hit vectors into each node.
-  //
-  // Most specific target takes precedence: walk distinct target depths
-  // from the deepest. At one depth: a resolved denial wins (denial takes
+  // (propagation). Every hit stored on a node targets that very node, so
+  // the walk up the parent chain meets the targets most specific (deepest)
+  // first: the chain position is the specificity. At the first node whose
+  // hits do not all turn out false: a resolved denial wins (denial takes
   // precedence); a resolved permission wins unless a pending denial at the
-  // same depth could still override it; any other pending hit leaves the
-  // whole decision open. A depth whose hits all turned false is skipped.
+  // same node could still override it; any other pending hit leaves the
+  // whole decision open. Past the root, the closed world denies.
   //
   // Stability: hit sets are fixed once a node is open and predicate states
   // only move kPending -> {kTrue, kFalse}, so a kDeny or kPermit returned
-  // here is irrevocable — the property the skip oracle builds on.
-  std::vector<int>& depths = depths_scratch_;
-  depths.clear();
-  for (const NodeRec* n = &node; n != nullptr; n = n->parent.get()) {
-    for (const auto& h : n->hits) depths.push_back(h.target_depth);
-  }
-  std::sort(depths.rbegin(), depths.rend());
-  depths.erase(std::unique(depths.begin(), depths.end()), depths.end());
-
-  for (int level : depths) {
+  // here is irrevocable — the property the skip oracle builds on. The walk
+  // caches it on every node it passed (from each of them it would have
+  // walked the same remaining chain), and a later walk stops at the first
+  // cached node. kPending is never cached.
+  Decision d = Decision::kDeny;
+  NodeRec* n = &node;
+  for (; n != nullptr; n = n->parent.get()) {
+    ++stats_.decide_steps;
+    if (n->decided != Decision::kPending) {
+      d = n->decided;
+      break;
+    }
     bool resolved_neg = false, resolved_pos = false;
     bool pending = false, pending_neg = false;
-    for (const NodeRec* n = &node; n != nullptr; n = n->parent.get()) {
-      for (const auto& h : n->hits) {
-        if (h.target_depth != level) continue;
-        switch (EvalConds(h.conds, blockers)) {
-          case CondState::kFalse:
-            break;
-          case CondState::kTrue:
-            (h.rule->sign == Sign::kDeny ? resolved_neg : resolved_pos) =
-                true;
-            break;
-          case CondState::kPending:
-            pending = true;
-            if (h.rule->sign == Sign::kDeny) pending_neg = true;
-            break;
-        }
+    for (const auto& h : n->hits) {
+      switch (EvalConds(h.conds, blockers)) {
+        case CondState::kFalse:
+          break;
+        case CondState::kTrue:
+          (h.rule->sign == Sign::kDeny ? resolved_neg : resolved_pos) = true;
+          break;
+        case CondState::kPending:
+          pending = true;
+          if (h.rule->sign == Sign::kDeny) pending_neg = true;
+          break;
       }
     }
-    if (resolved_neg) return Decision::kDeny;
+    if (resolved_neg) {
+      d = Decision::kDeny;
+      break;
+    }
     if (resolved_pos) {
-      return pending_neg ? Decision::kPending : Decision::kPermit;
+      if (pending_neg) return Decision::kPending;
+      d = Decision::kPermit;
+      break;
     }
     if (pending) return Decision::kPending;
   }
-  return Decision::kDeny;  // Closed-world default.
+  for (NodeRec* m = &node; m != n; m = m->parent.get()) m->decided = d;
+  if (n != nullptr) n->decided = d;
+  return d;
 }
 
 SkipDecision RuleEvaluator::SubtreeDecision(const SubtreeFacts& facts,
@@ -604,7 +610,7 @@ void RuleEvaluator::OnOpen(const std::string& tag, int depth) {
     fulls.clear();
     matchers_[r]->OnOpen(tag, depth, this, &fulls);
     for (CondSet& conds : fulls) {
-      own_hits.push_back({&rules_[r], depth, std::move(conds)});
+      own_hits.push_back({&rules_[r], std::move(conds)});
       ++stats_.rule_hits;
     }
   }

@@ -292,6 +292,11 @@ class RuleEvaluator : public xml::EventHandler,
     /// token spawns at the same (rule, position) share one instance and
     /// each blocked event registers with an instance at most once.
     uint64_t watcher_subscriptions = 0;
+    /// Parent-chain nodes visited by the per-element decision walk, over
+    /// all calls. A walk stops at the first node with applicable hits or a
+    /// cached irrevocable answer, so below decided ancestors it visits a
+    /// few nodes, not the whole chain.
+    uint64_t decide_steps = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -307,8 +312,7 @@ class RuleEvaluator : public xml::EventHandler,
   /// Decides `node`; when the result hinges on pending predicates, the
   /// instances encountered are appended to `blockers` (if non-null) so the
   /// caller can subscribe the blocked event to exactly those instances.
-  Decision Decide(const NodeRec& node,
-                  internal::CondSet* blockers = nullptr) const;
+  Decision Decide(NodeRec& node, internal::CondSet* blockers = nullptr);
   void SettleCandidates();          ///< Predicate-candidate fixpoint.
   void SettleInstance(const std::shared_ptr<internal::PredInstance>& inst,
                       internal::PredInstance::State state);
@@ -335,10 +339,8 @@ class RuleEvaluator : public xml::EventHandler,
                         std::shared_ptr<internal::PredInstance>>> spawn_memo_;
 
   /// Reused scratch: full-match collector handed to every matcher on each
-  /// open event, and the target-depth list Decide() sorts — both were
-  /// reallocated per event before (PR 2's flagged churn).
+  /// open event. clear()ed per use — capacity persists.
   std::vector<internal::CondSet> fulls_scratch_;
-  mutable std::vector<int> depths_scratch_;
 
   std::vector<std::shared_ptr<NodeRec>> element_stack_;
   std::deque<OutEvent> queue_;

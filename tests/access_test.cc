@@ -1,13 +1,19 @@
 // Semantics tests for the streaming access-control evaluator: propagation,
 // most-specific-takes-precedence, denial-takes-precedence, closed-world
-// default, structure preservation, pending predicates, and the
-// containment-based rule-set minimization.
+// default, structure preservation, pending predicates, the
+// containment-based rule-set minimization, and the per-event cost of
+// deciding elements on deep chains.
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
+#include "index/variants.h"
+#include "pipeline/secure_pipeline.h"
+#include "serve_fixtures.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
@@ -210,6 +216,53 @@ TEST(WatcherRegistrationDeduped) {
   CHECK_EQ(eval.stats().watcher_subscriptions, uint64_t{2});
   // [c] never matched: the pending denial dissolves and b is disclosed.
   CHECK_EQ(ser.output(), "<r><a><a><b>secret</b></a></a></r>");
+}
+
+TEST(DecideCostDoesNotGrowWithDepth) {
+  // A root grant over a spine of nested <a>, each carrying a <b> leaf
+  // whose denial hangs on a predicate that resolves false when the leaf
+  // closes. Deciding any node means looking past its own (false) targets
+  // up to the root grant; Decide() must not rescan the whole chain per
+  // call, so its steps per event stay flat from depth 64 to depth 256 —
+  // both for a direct SAX pass and for a skipping TCSBR serve, whose skip
+  // oracle adds its own Decide() calls on every open.
+  auto rules = access::ParseRuleList("+ /r\n- //b[z]\n");
+  CHECK_OK(rules.status());
+  if (!rules.ok()) return;
+  auto deep = [](int depth) {
+    std::string xml = "<r>";
+    for (int i = 0; i < depth; ++i) xml += "<a><b>v</b>";
+    for (int i = 0; i < depth; ++i) xml += "</a>";
+    return xml + "</r>";
+  };
+  auto steps_per_event = [](const access::RuleEvaluator::Stats& s) {
+    return static_cast<double>(s.decide_steps) /
+           static_cast<double>(s.events_in);
+  };
+  double direct[2] = {}, served[2] = {};
+  const int depths[2] = {64, 256};
+  for (int i = 0; i < 2; ++i) {
+    const std::string xml = deep(depths[i]);
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(rules.value(), &ser);
+    CHECK_OK(xml::SaxParser::Parse(xml, &eval));
+    CHECK_OK(eval.Finish());
+    CHECK_EQ(ser.output(), xml);  // Every [z] is false: all granted.
+    direct[i] = steps_per_event(eval.stats());
+
+    auto report = testing::ColdService(xml, index::Variant::kTcsbr, 256, 32)
+                      ->Serve("doc", rules.value(),
+                              pipeline::ServeOptions(true, UINT64_MAX));
+    CHECK_OK(report.status());
+    if (!report.ok()) return;
+    CHECK_EQ(report.value().view, xml);
+    served[i] = steps_per_event(report.value().eval);
+  }
+  std::printf("  decide_steps/events_in: direct %.3f -> %.3f, "
+              "served %.3f -> %.3f (depth 64 -> 256)\n",
+              direct[0], direct[1], served[0], served[1]);
+  CHECK(direct[1] <= direct[0] * 1.05);
+  CHECK(served[1] <= served[0] * 1.05);
 }
 
 TEST(RuleParsing) {

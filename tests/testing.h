@@ -26,6 +26,13 @@ inline std::vector<TestCase>& Registry() {
 inline int failures = 0;
 inline const char* current_test = "";
 
+/// The test binary's command-line arguments (argv[1..]), for suites with
+/// manual-run knobs such as a larger iteration count.
+inline std::vector<std::string>& Args() {
+  static std::vector<std::string> args;
+  return args;
+}
+
 struct Registrar {
   Registrar(const char* name, std::function<void()> fn) {
     Registry().push_back({name, std::move(fn)});
@@ -79,7 +86,8 @@ inline void Fail(const char* file, int line, const std::string& msg) {
     }                                                                     \
   } while (0)
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) ::csxa::testing::Args().emplace_back(argv[i]);
   for (const auto& t : ::csxa::testing::Registry()) {
     ::csxa::testing::current_test = t.name;
     int before = ::csxa::testing::failures;

@@ -302,7 +302,8 @@ TEST(ResponseSemanticTampering) {
        [](crypto::BatchResponse* r) {
          // csxa-lint: allow(taint-release) fuzz tampers pre-verification bytes
          auto& ct = r->segments[0].ciphertext.ReleaseUnverified();
-         ct.resize(ct.size() - 8);
+         CHECK(ct.size() > 8);
+         ct.resize(ct.size() > 8 ? ct.size() - 8 : 0);
        }},
       {"segment padded",
        [](crypto::BatchResponse* r) {
